@@ -110,6 +110,20 @@ class TestEmFit:
             fit = em_fit(z, em_default_init(z))
             assert fit.op_estimate >= paper_op_floor(d, fit.iterations)
 
+    @pytest.mark.parametrize("seed, dim, init, expected", [
+        (0, 64, None, 29556),                       # default init, 25 iterations
+        (4, 256, None, 93584),                      # default init, 20 iterations
+        (3, 16, (1e-6, 1.0, 2.0), 2220),            # near-empty large component
+        (1, 16, (0.0, 1.0, 2.0), 357),              # large component collapses
+        (2, 16, (1.0, 1.0, 2.0), 355),              # small component collapses
+        (1, 16, (0.3, 2.0, 2.0), 681),              # one ordering swap
+    ])
+    def test_op_estimate_pinned(self, seed, dim, init, expected):
+        # recorded from the per-operation tally the closed form replaced
+        z = mixture_powers(np.random.default_rng(seed), dim)
+        start = MixtureParams(*init) if init else em_default_init(z)
+        assert em_fit(z, start).op_estimate == expected
+
     def test_collapse_handling(self):
         # weight 0 kills the large component immediately: its variance is
         # frozen, the fit converges, and no division blows up
