@@ -54,12 +54,11 @@ from .theory import (
 from .channel import (
     VARIANTS,
     ChannelConfig,
-    DenoisePipeline,
     beamspace,
+    ber_by_variant,
     gen_los_channel,
     inverse_beamspace,
-    run_ber,
-    run_denoise_pipeline,
+    mse_by_variant,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ power. After the unitary DFT across antennas (the beamspace), a channel
 with few paths is approximately sparse, which is exactly the structure
 the blind estimators and the adaptive soft-threshold denoiser rely on.
 
-Two experiments are provided per denoising variant:
+Two experiments evaluate a tuple of denoising variants:
 
 * channel MSE of the denoised beamspace vector, with the observation
   noise set by ``n0 = 1 / snr`` (unit average beamspace entry power);
@@ -15,8 +15,11 @@ Two experiments are provided per denoising variant:
   observations and for the per-antenna data noise (so the per-antenna
   receive SNR of the data equals the configured value).
 
-Trials are driven by per-trial substreams in trial order, so results are
-deterministic and identical for every variant under the same seed.
+Each trial is drawn once from its own substream, in trial order: the
+channels, their beamspace and the observation noise (and, for the BER,
+the data bits and data noise) are shared by every variant evaluated on
+it. The estimators use no randomness, so a variant's result does not
+depend on which other variants run beside it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class ChannelConfig:
     users: int = 8
     paths_per_user: int = 1
     path_power_profile: tuple | None = None
-    snr_db_range: tuple = (-10.0, 0.0, 10.0)
 
     def __post_init__(self):
         d = self.antennas
@@ -67,9 +69,6 @@ class ChannelConfig:
             if any(g <= 0 for g in prof):
                 raise ValueError("path gains must be positive")
             object.__setattr__(self, "path_power_profile", prof)
-        if len(tuple(self.snr_db_range)) == 0:
-            raise ValueError("snr_db_range must be non-empty")
-        object.__setattr__(self, "snr_db_range", tuple(self.snr_db_range))
 
     def normalized_profile(self) -> np.ndarray:
         if self.path_power_profile is None:
@@ -78,37 +77,13 @@ class ChannelConfig:
         return prof / prof.sum()
 
 
-@dataclass(frozen=True)
-class DenoisePipeline:
-    """A single channel-estimation variant selection."""
-
-    variant: str
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-
-
-def steering_vector(theta: float, dim: int) -> ComplexVector:
-    """Half-wavelength ULA response: entry d is exp(i pi (d-1) sin theta)."""
-    phase = math.pi * math.sin(theta) * np.arange(dim)
-    return ComplexVector(np.cos(phase), np.sin(phase))
-
-
-def channel_from_paths(thetas, alphas, dim: int) -> ComplexVector:
-    """Sum of steering vectors weighted by complex path gains."""
-    h = np.zeros(dim, dtype=np.complex128)
-    for theta, alpha in zip(thetas, alphas):
-        h += alpha * steering_vector(theta, dim).values
-    return ComplexVector(h.real, h.imag)
-
-
-def gen_los_channel(cfg: ChannelConfig, rng: RngStream) -> list:
-    """Per-user line-of-sight channels with E||h||^2 / D = 1.
+def gen_los_channel(cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
+    """Line-of-sight channels as a (users, antennas) array, E||h||^2 / D = 1.
 
     Angles are uniform on (-pi/2, pi/2); path gains are circularly
     symmetric complex Gaussian with variances given by the normalized
-    path power profile.
+    path power profile. Path l of user u contributes its gain times the
+    half-wavelength ULA response, whose entry d is exp(i pi d sin theta).
     """
     g = rng.gen
     prof = cfg.normalized_profile()
@@ -116,29 +91,37 @@ def gen_los_channel(cfg: ChannelConfig, rng: RngStream) -> list:
     thetas = g.uniform(-math.pi / 2, math.pi / 2, (u, l))
     scale = np.sqrt(prof / 2.0)
     alphas = (g.standard_normal((u, l)) + 1j * g.standard_normal((u, l))) * scale
-    return [channel_from_paths(thetas[i], alphas[i], d) for i in range(u)]
+    phase = math.pi * np.sin(thetas)[:, :, None] * np.arange(d)
+    steer = np.cos(phase) + 1j * np.sin(phase)
+    h = np.zeros((u, d), dtype=np.complex128)
+    for k in range(l):  # one path at a time, in path order
+        h += alphas[:, k, None] * steer[:, k]
+    return h
 
 
-def _check_fft_length(d: int) -> None:
+def _transform_input(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.complex128)
+    d = a.shape[-1] if a.ndim else 0
     if d < 1 or d & (d - 1):
         raise ValueError("beamspace transform requires a power-of-two length")
+    if not np.isfinite(a).all():
+        raise ValueError("beamspace transform requires finite entries")
+    return a
 
 
-def beamspace(h: ComplexVector) -> ComplexVector:
-    """Unitary DFT across antennas."""
-    _check_fft_length(h.dim)
-    x = np.fft.fft(h.values) / math.sqrt(h.dim)
-    return ComplexVector(x.real, x.imag)
+def beamspace(h) -> np.ndarray:
+    """Unitary DFT across antennas (the last axis)."""
+    h = _transform_input(h)
+    return np.fft.fft(h, axis=-1) / math.sqrt(h.shape[-1])
 
 
-def inverse_beamspace(x: ComplexVector) -> ComplexVector:
+def inverse_beamspace(x) -> np.ndarray:
     """Inverse of :func:`beamspace`; round-trips to within 1e-12."""
-    _check_fft_length(x.dim)
-    h = np.fft.ifft(x.values) * math.sqrt(x.dim)
-    return ComplexVector(h.real, h.imag)
+    x = _transform_input(x)
+    return np.fft.ifft(x, axis=-1) * math.sqrt(x.shape[-1])
 
 
-def _estimate_beamspace(variant: str, y: ComplexVector, x_true: ComplexVector,
+def _estimate_beamspace(variant: str, y: ComplexVector, x_true: np.ndarray,
                         n0_true: float):
     """Apply one variant to a noisy beamspace observation.
 
@@ -147,57 +130,73 @@ def _estimate_beamspace(variant: str, y: ComplexVector, x_true: ComplexVector,
     if variant == "perfect_csi":
         return x_true, n0_true
     if variant == "ml":
-        return y, n0_true
+        return y.values, n0_true
     if variant == "beaches_known_n0":
         found = search_threshold(y, n0_true)
-        return soft_threshold(y, found.tau_star), n0_true
+        return soft_threshold(y, found.tau_star).values, n0_true
     if variant == "beaches_blind":
         denoised, _, noise = denoise_blind(y)
-        return denoised, noise.value
-    if variant == "beaches_em":
-        z = abs_squared(y)
-        fit = em_fit(z, em_default_init(z))
-        found = search_threshold(y, fit.n0_em)
-        return soft_threshold(y, found.tau_star), fit.n0_em
-    raise ValueError(f"unknown variant {variant!r}")
+        return denoised.values, noise.value
+    z = abs_squared(y)  # beaches_em
+    fit = em_fit(z, em_default_init(z))
+    found = search_threshold(y, fit.n0_em)
+    return soft_threshold(y, found.tau_star).values, fit.n0_em
 
 
-def run_denoise_pipeline(cfg: ChannelConfig, variant: str, snr_db: float,
-                         trials: int, rng: RngStream) -> dict:
-    """Average beamspace channel MSE of one variant at one SNR point.
+def _trials(cfg: ChannelConfig, variants: tuple, n0: float, trials: int,
+            rng: RngStream):
+    """Yield each trial's draw, shared by every variant evaluated on it.
+
+    A draw is (generator, channels, beamspace, observations): the trial's
+    generator, left where the observation noise ends, the (users,
+    antennas) channels and their beamspace, and one noisy beamspace
+    observation per user with noise power ``n0``.
+    """
+    if not variants or not set(variants) <= set(VARIANTS):
+        raise ValueError(f"variants must be a non-empty tuple drawn from {VARIANTS}, "
+                         f"got {variants!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    noise_scale = math.sqrt(n0 / 2.0)
+    for t in range(trials):
+        st = rng.substream(t)
+        h = gen_los_channel(cfg, st)
+        x = beamspace(h)
+        # per user, the real parts of the noise and then the imaginary parts
+        w = st.gen.standard_normal((cfg.users, 2, cfg.antennas))
+        y = x + noise_scale * (w[:, 0] + 1j * w[:, 1])
+        yield st.gen, h, x, [ComplexVector(row.real, row.imag) for row in y]
+
+
+def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
+                   trials: int, rng: RngStream) -> dict:
+    """Average beamspace channel MSE of each variant at one SNR point.
 
     The observation is y = x + n in beamspace with n0 = 1 / snr (the
     beamspace vector has unit average entry power by construction).
+    Returns a dict keyed by variant, in the order given.
     """
-    DenoisePipeline(variant)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    snr = 10.0 ** (snr_db / 10.0)
-    n0 = 1.0 / snr
+    n0 = 1.0 / 10.0 ** (snr_db / 10.0)
     d = cfg.antennas
-    noise_scale = math.sqrt(n0 / 2.0)
-    mse_sum = 0.0
-    n0_used = []
-    for t in range(trials):
-        st = rng.substream(t)
-        channels = gen_los_channel(cfg, st)
-        g = st.gen
-        for h in channels:
-            x = beamspace(h)
-            w = noise_scale * (g.standard_normal(d) + 1j * g.standard_normal(d))
-            y = ComplexVector((x.values + w).real, (x.values + w).imag)
-            xhat, n0_var = _estimate_beamspace(variant, y, x, n0)
-            err = xhat.values - x.values
-            mse_sum += float((err.real * err.real + err.imag * err.imag).sum()) / d
-            n0_used.append(n0_var)
-    n0_used = np.asarray(n0_used)
-    return {
-        "channel_mse": mse_sum / (trials * cfg.users),
-        "n0_mean": float(n0_used.mean()),
-        "n0_std": float(n0_used.std(ddof=1)) if n0_used.size > 1 else 0.0,
-        "trials": trials,
-        "n0_true": n0,
-    }
+    mse_sum = dict.fromkeys(variants, 0.0)
+    n0_used = {v: [] for v in variants}
+    for _, _, x, ys in _trials(cfg, variants, n0, trials, rng):
+        for x_user, y in zip(x, ys):
+            for v in variants:
+                xhat, n0_var = _estimate_beamspace(v, y, x_user, n0)
+                err = xhat - x_user
+                mse_sum[v] += float((err.real * err.real + err.imag * err.imag).sum()) / d
+                n0_used[v].append(n0_var)
+    out = {}
+    for v in variants:
+        used = np.asarray(n0_used[v])
+        out[v] = {
+            "channel_mse": mse_sum[v] / (trials * cfg.users),
+            "n0_mean": float(used.mean()),
+            "n0_std": float(used.std(ddof=1)) if used.size > 1 else 0.0,
+            "n0_true": n0,
+        }
+    return out
 
 
 def qam16_modulate(bits: np.ndarray) -> np.ndarray:
@@ -221,44 +220,33 @@ def qam16_demodulate(symbols: np.ndarray) -> np.ndarray:
     return np.concatenate((_BITS_BY_LEVEL[i_idx], _BITS_BY_LEVEL[q_idx]), axis=1)
 
 
-def run_ber(cfg: ChannelConfig, variant: str, snr_db: float, trials: int,
-            rng: RngStream) -> dict:
-    """Uncoded 16-QAM bit error rate with LMMSE detection for one variant.
+def ber_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
+                   trials: int, rng: RngStream) -> dict:
+    """Uncoded 16-QAM bit error rate with LMMSE detection for each variant.
 
     A single knob sets n0 = users / snr: the per-antenna data noise then
     matches the configured receive SNR, and the per-user beamspace channel
-    observations use the same n0.
+    observations use the same n0. Returns a dict keyed by variant, in the
+    order given.
     """
-    DenoisePipeline(variant)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    snr = 10.0 ** (snr_db / 10.0)
-    n0 = cfg.users * _SYMBOL_ENERGY / snr
+    n0 = cfg.users * _SYMBOL_ENERGY / 10.0 ** (snr_db / 10.0)
     d, u = cfg.antennas, cfg.users
     noise_scale = math.sqrt(n0 / 2.0)
     reg = u * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR
-    errors = 0
-    total = 0
-    for t in range(trials):
-        st = rng.substream(t)
-        channels = gen_los_channel(cfg, st)
-        g = st.gen
-        h_hat = np.empty((d, u), dtype=np.complex128)
-        h_true = np.empty((d, u), dtype=np.complex128)
-        for j, h in enumerate(channels):
-            h_true[:, j] = h.values
-            x = beamspace(h)
-            w = noise_scale * (g.standard_normal(d) + 1j * g.standard_normal(d))
-            y = ComplexVector((x.values + w).real, (x.values + w).imag)
-            xhat, _ = _estimate_beamspace(variant, y, x, n0)
-            h_hat[:, j] = inverse_beamspace(xhat).values
+    errors = dict.fromkeys(variants, 0)
+    for g, h, x, ys in _trials(cfg, variants, n0, trials, rng):
         bits = g.integers(0, 2, (u, 4))
         sym = qam16_modulate(bits)
         w_data = noise_scale * (g.standard_normal(d) + 1j * g.standard_normal(d))
-        r = h_true @ sym + w_data
-        gram = h_hat.conj().T @ h_hat + reg * np.eye(u)
-        sym_hat = np.linalg.solve(gram, h_hat.conj().T @ r)
-        bits_hat = qam16_demodulate(sym_hat)
-        errors += int((bits_hat != bits).sum())
-        total += 4 * u
-    return {"ber": errors / total, "bit_errors": errors, "bits": total}
+        # C-contiguous (antennas, users) copies: BLAS rounds transposed views differently
+        r = np.ascontiguousarray(h.T) @ sym + w_data
+        for v in variants:
+            x_hat = np.array([_estimate_beamspace(v, y, x_user, n0)[0]
+                              for x_user, y in zip(x, ys)])
+            h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).T)
+            gram = h_hat.conj().T @ h_hat + reg * np.eye(u)
+            sym_hat = np.linalg.solve(gram, h_hat.conj().T @ r)
+            errors[v] += int((qam16_demodulate(sym_hat) != bits).sum())
+    total = 4 * u * trials
+    return {v: {"ber": errors[v] / total, "bit_errors": errors[v], "bits": total}
+            for v in variants}

@@ -12,8 +12,7 @@ computed and stored in linear units (dB conversions, where useful, ride
 along inside ``extra``).
 
 Per-trial randomness uses stream id = trial index, and aggregation runs
-in trial order, so a given config always produces byte-identical output
-regardless of worker layout.
+in trial order, so a given config always produces byte-identical output.
 
 Exit codes: 0 success, 1 I/O error, 2 invalid configuration, 3 summary
 assertion failure (with ``--summary``).
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import VARIANTS, ChannelConfig, run_ber, run_denoise_pipeline
+from .channel import VARIANTS, ChannelConfig, ber_by_variant, mse_by_variant
 from .core import BcgParams, RngStream, abs_squared, add, sample_bcg, sample_noise
 from .em import em_default_init, em_fit
 from .estimators import genie_estimates
@@ -265,10 +264,9 @@ def run_channel(cfg: SweepConfig) -> list:
     base = RngStream(cfg.seed, stream_id=0)
     rows = []
     for snr_db in cfg.snr_points_db:
-        for variant in VARIANTS:
-            if cfg.experiment == "channel_mse":
-                res = run_denoise_pipeline(chan, variant, float(snr_db),
-                                           cfg.trials, base)
+        if cfg.experiment == "channel_mse":
+            results = mse_by_variant(chan, VARIANTS, float(snr_db), cfg.trials, base)
+            for variant, res in results.items():
                 mse = res["channel_mse"]
                 extra = {
                     "mse_db": 10.0 * math.log10(mse) if mse > 0 else None,
@@ -279,8 +277,9 @@ def run_channel(cfg: SweepConfig) -> list:
                                  variant, "channel_mse", mse, 0.0,
                                  0.0 if variant == "perfect_csi" else None,
                                  extra))
-            else:
-                res = run_ber(chan, variant, float(snr_db), cfg.trials, base)
+        else:
+            results = ber_by_variant(chan, VARIANTS, float(snr_db), cfg.trials, base)
+            for variant, res in results.items():
                 extra = {"bits": res["bits"], "bit_errors": res["bit_errors"]}
                 rows.append(_row(cfg, snr_db, None, chan.antennas, cfg.trials,
                                  variant, "ber", res["ber"], 0.0, None, extra))

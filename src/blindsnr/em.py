@@ -13,10 +13,13 @@ previous parameter norm. Initialization is median-seeded (deterministic
 and cheap). A component whose responsibility mass vanishes is frozen at
 its current variance with weight 0 or 1 and the fit is marked converged.
 
-``op_estimate`` tallies the real operations the update formulas perform
-per iteration (including the per-iteration log-likelihood evaluation and
-the 3D squared-magnitude formation done upstream of the fit), for
-comparison against per-iteration cost floors of iterative baselines.
+``op_estimate`` counts the real operations the update formulas perform
+(including the per-iteration log-likelihood evaluation and the 3D
+squared-magnitude formation done upstream of the fit) in closed form, for
+comparison against per-iteration cost floors of iterative baselines:
+4D before the loop, 18D+2 per E-step with its sums, 18 per full M-step
+with its stopping test, one per ordering swap, and 3 or 1 for the final
+update of a large- or small-component collapse.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG2, OpCounter
+from .core import LOG2
 from .selection import sample_median
 
 MAX_ITERATIONS = 30
@@ -85,31 +88,20 @@ def _validated_powers(z) -> np.ndarray:
     return z
 
 
-def _responsibilities(z, p, s1, s2, ops: OpCounter):
+def _responsibilities(z, p, s1, s2):
     """E-step posterior of the large component, with a joint-underflow guard."""
-    d = z.size
     inv1 = 1.0 / s1
     inv2 = 1.0 / s2
-    ops.divisions += 2
     g1 = inv1 * np.exp(-(z * inv1))
     g2 = inv2 * np.exp(-(z * inv2))
-    ops.real_mults += 4 * d
-    ops.real_adds += 2 * d          # the two negation sweeps
-    ops.exponentials += 2 * d
     w2 = p * g2
     w1 = (1.0 - p) * g1
     den = w1 + w2
-    ops.real_mults += 2 * d
-    ops.real_adds += d + 1
     ok = den > 0
-    ops.comparisons += d
     # if both densities underflow the sample is extreme for either model;
     # hand it to the heavy component
     gamma = np.where(ok, w2 / np.where(ok, den, 1.0), 1.0)
-    ops.divisions += d
     loglik = float(np.log(np.where(ok, den, 5e-324)).sum())
-    ops.exponentials += d
-    ops.real_adds += d - 1
     return gamma, loglik
 
 
@@ -117,43 +109,32 @@ def em_step(z, params: MixtureParams) -> MixtureParams:
     """One E+M update (with ordering swap and variance floors)."""
     z = _validated_powers(z)
     floor = max(_FLOOR_SCALE * float(z.mean()), 5e-324)
-    state = _em_update(z, params.weight_active, params.var_small,
-                       params.var_large, float(z.sum()), floor, OpCounter())
-    p, s1, s2 = state[0], state[1], state[2]
+    p, s1, s2, *_ = _em_update(z, params.weight_active, params.var_small,
+                               params.var_large, float(z.sum()), floor)
     return MixtureParams(weight_active=p, var_small=s1, var_large=s2)
 
 
-def _em_update(z, p, s1, s2, sum_z, floor, ops: OpCounter):
-    """Returns (p', s1', s2', loglik, collapsed)."""
+def _em_update(z, p, s1, s2, sum_z, floor):
+    """Returns (p', s1', s2', loglik, collapsed, swapped)."""
     d = z.size
-    gamma, loglik = _responsibilities(z, p, s1, s2, ops)
+    gamma, loglik = _responsibilities(z, p, s1, s2)
     sg = float(gamma.sum())
     sgz = float((gamma * z).sum())
-    ops.real_adds += 2 * (d - 1)
-    ops.real_mults += d
-    ops.comparisons += 2
     if sg < _COLLAPSE_MASS:
-        # large component starved: freeze its variance, drop its weight
+        # large component starved: freeze its variance (kept at or above
+        # the updated small one), drop its weight
         s1_new = max((sum_z - sgz) / (d - sg), floor)
-        ops.real_adds += 2
-        ops.divisions += 1
-        return 0.0, s1_new, s2, loglik, True
+        return 0.0, s1_new, max(s2, s1_new), loglik, True, False
     if d - sg < _COLLAPSE_MASS:
         # small component starved: freeze its variance, give it weight 0
         s2_new = max(sgz / sg, floor, s1)
-        ops.divisions += 1
-        return 1.0, s1, s2_new, loglik, True
+        return 1.0, s1, s2_new, loglik, True, False
     p_new = sg / d
     s2_new = max(sgz / sg, floor)
     s1_new = max((sum_z - sgz) / (d - sg), floor)
-    ops.divisions += 3
-    ops.real_adds += 3
-    ops.comparisons += 2
     if s1_new > s2_new:
-        s1_new, s2_new, p_new = s2_new, s1_new, 1.0 - p_new
-        ops.real_adds += 1
-    ops.comparisons += 1
-    return p_new, s1_new, s2_new, loglik, False
+        return 1.0 - p_new, s2_new, s1_new, loglik, False, True
+    return p_new, s1_new, s2_new, loglik, False, False
 
 
 def em_fit(z, init: MixtureParams, snr_from_total_power: bool = False) -> EmResult:
@@ -167,37 +148,35 @@ def em_fit(z, init: MixtureParams, snr_from_total_power: bool = False) -> EmResu
     """
     z = _validated_powers(z)
     d = z.size
-    ops = OpCounter()
-    # squared-magnitude formation upstream of the fit (2 mults + 1 add per entry)
-    ops.real_mults += 2 * d
-    ops.real_adds += d
     sum_z = float(z.sum())
     mean_z = sum_z / d
-    ops.real_adds += d - 1
-    ops.divisions += 1
     floor = max(_FLOOR_SCALE * mean_z, 5e-324)
 
     p, s1, s2 = init.weight_active, init.var_small, init.var_large
     trace = []
     converged = False
     iterations = 0
+    swaps = 0
+    collapse_ops = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        p_new, s1_new, s2_new, loglik, collapsed = _em_update(
-            z, p, s1, s2, sum_z, floor, ops)
+        p_new, s1_new, s2_new, loglik, collapsed, swapped = _em_update(
+            z, p, s1, s2, sum_z, floor)
         trace.append(loglik)
         if collapsed:
             p, s1, s2 = p_new, s1_new, s2_new
             converged = True
+            collapse_ops = 3 if p == 0.0 else 1
             break
+        swaps += swapped
         delta = abs(p_new - p) + abs(s1_new - s1) + abs(s2_new - s2)
         base = p + s1 + s2
-        ops.real_adds += 7
-        ops.divisions += 1
-        ops.comparisons += 1
         p, s1, s2 = p_new, s1_new, s2_new
         if delta / base < REL_TOL:
             converged = True
             break
+    full_updates = iterations - (collapse_ops > 0)
+    op_estimate = (4 * d + iterations * (18 * d + 2) + 18 * full_updates
+                   + swaps + collapse_ops)
 
     params = MixtureParams(weight_active=p, var_small=s1, var_large=s2)
     if snr_from_total_power:
@@ -206,7 +185,7 @@ def em_fit(z, init: MixtureParams, snr_from_total_power: bool = False) -> EmResu
         snr_raw = p * (s2 - s1) / s1
     return EmResult(params=params, iterations=iterations, converged=converged,
                     n0_em=s1, snr_em=max(snr_raw, 0.0),
-                    op_estimate=ops.total(), loglik_trace=tuple(trace))
+                    op_estimate=op_estimate, loglik_trace=tuple(trace))
 
 
 def em_default_init(z) -> MixtureParams:

@@ -30,11 +30,11 @@ from blindsnr import (
     DenoiserFunction,
     OpCounter,
     RngStream,
+    ber_by_variant,
     estimate_noise_power,
     estimate_snr,
     genie_estimates,
-    run_ber,
-    run_denoise_pipeline,
+    mse_by_variant,
     sample_median,
     sample_noise,
     search_threshold,
@@ -265,9 +265,10 @@ def _channel_mse_table(trials=1000):
     base = RngStream(211, 0)
     table = {}
     for snr_db in (-10.0, 0.0, 10.0):
-        table[snr_db] = {
-            v: run_denoise_pipeline(CHANNEL_CFG, v, snr_db, trials, base)["channel_mse"]
-            for v in ("perfect_csi", "beaches_known_n0", "beaches_blind", "ml")}
+        res = mse_by_variant(CHANNEL_CFG, ("perfect_csi", "beaches_known_n0",
+                                           "beaches_blind", "ml"),
+                             snr_db, trials, base)
+        table[snr_db] = {v: r["channel_mse"] for v, r in res.items()}
     return table
 
 
@@ -316,8 +317,8 @@ def test_criterion_12_ber_ordering():
     ok = True
     details = []
     for snr_db in (10.0, 20.0):
-        res = {v: run_ber(CHANNEL_CFG, v, snr_db, trials, base)
-               for v in ("perfect_csi", "beaches_blind", "ml")}
+        res = ber_by_variant(CHANNEL_CFG, ("perfect_csi", "beaches_blind", "ml"),
+                             snr_db, trials, base)
         bits = res["ml"]["bits"]
 
         def sigma(b):

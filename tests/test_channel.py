@@ -8,23 +8,20 @@ import pytest
 from blindsnr import (
     ChannelConfig,
     ComplexVector,
-    DenoisePipeline,
     RngStream,
-    abs_squared,
     beamspace,
+    ber_by_variant,
     gen_los_channel,
     inverse_beamspace,
-    run_ber,
-    run_denoise_pipeline,
+    mse_by_variant,
     search_threshold,
     soft_threshold,
 )
-from blindsnr.channel import (
-    channel_from_paths,
-    qam16_demodulate,
-    qam16_modulate,
-    steering_vector,
-)
+from blindsnr.channel import VARIANTS, qam16_demodulate, qam16_modulate
+
+
+def power(a):
+    return a.real ** 2 + a.imag ** 2
 
 
 class TestConfigValidation:
@@ -37,9 +34,16 @@ class TestConfigValidation:
             ChannelConfig(antennas=96)
 
     def test_variant_validation(self):
-        with pytest.raises(ValueError):
-            DenoisePipeline("magic")
-        DenoisePipeline("beaches_blind")
+        cfg = ChannelConfig(antennas=16, users=2)
+        for run in (mse_by_variant, ber_by_variant):
+            with pytest.raises(ValueError):
+                run(cfg, ("beaches_blind", "magic"), 0.0, 1, RngStream(0))
+            with pytest.raises(ValueError):
+                run(cfg, (), 0.0, 1, RngStream(0))
+            with pytest.raises(ValueError):
+                run(cfg, ("ml",), 0.0, 0, RngStream(0))
+            assert list(run(cfg, ("beaches_blind",), 0.0, 1, RngStream(0))) == [
+                "beaches_blind"]
 
     def test_profile_length(self):
         with pytest.raises(ValueError):
@@ -48,36 +52,69 @@ class TestConfigValidation:
 
 class TestSteeringAndBeamspace:
     def test_broadside_is_all_ones_and_one_sparse(self):
-        a = steering_vector(0.0, 16)
-        np.testing.assert_allclose(a.values, np.ones(16), atol=1e-15)
-        x = beamspace(channel_from_paths([0.0], [1.0], 16))
+        # the ULA response exp(i pi d sin 0) at broadside is all ones, and
+        # its beamspace is a single bin of height sqrt(16)
+        x = beamspace(np.ones(16))
         expected = np.zeros(16, dtype=complex)
-        expected[0] = 4.0  # sqrt(16)
-        np.testing.assert_allclose(x.values, expected, atol=1e-12)
+        expected[0] = 4.0
+        np.testing.assert_allclose(x, expected, atol=1e-12)
+
+    def test_rows_are_gain_weighted_steering_sums(self):
+        cfg = ChannelConfig(antennas=32, users=3, paths_per_user=2,
+                            path_power_profile=(3.0, 1.0))
+        h = gen_los_channel(cfg, RngStream(89, 4))
+        # the same draws, in the order gen_los_channel makes them
+        g = RngStream(89, 4).gen
+        thetas = g.uniform(-math.pi / 2, math.pi / 2, (3, 2))
+        alphas = (g.standard_normal((3, 2)) + 1j * g.standard_normal((3, 2))) \
+            * np.sqrt(np.array([0.75, 0.25]) / 2.0)
+        for u in range(3):
+            expected = sum(alphas[u, k] * np.exp(1j * math.pi * np.sin(thetas[u, k])
+                                                 * np.arange(32))
+                           for k in range(2))
+            np.testing.assert_allclose(h[u], expected, atol=1e-13)
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(90)
-        h = ComplexVector(rng.standard_normal(64), rng.standard_normal(64))
+        h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         back = inverse_beamspace(beamspace(h))
-        np.testing.assert_allclose(back.values, h.values, atol=1e-12)
+        np.testing.assert_allclose(back, h, atol=1e-12)
+
+    def test_batched_rows_equal_single_rows(self):
+        rng = np.random.default_rng(88)
+        h = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+        x = beamspace(h)
+        back = inverse_beamspace(x)
+        for row in range(5):
+            np.testing.assert_array_equal(x[row], beamspace(h[row]))
+            np.testing.assert_array_equal(back[row], inverse_beamspace(x[row]))
 
     def test_unit_basis_maps_to_flat_phase(self):
-        e1 = ComplexVector([1.0] + [0.0] * 15, [0.0] * 16)
-        x = beamspace(e1)
-        np.testing.assert_allclose(np.abs(x.values), np.full(16, 1 / 4.0), atol=1e-12)
-        assert abs(np.linalg.norm(x.values) - 1.0) <= 1e-10
+        x = beamspace([1.0] + [0.0] * 15)
+        np.testing.assert_allclose(np.abs(x), np.full(16, 1 / 4.0), atol=1e-12)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-10
 
     def test_parseval(self):
         rng = np.random.default_rng(91)
         for _ in range(20):
-            h = ComplexVector(rng.standard_normal(128), rng.standard_normal(128))
+            h = rng.standard_normal(128) + 1j * rng.standard_normal(128)
             x = beamspace(h)
-            assert abs(float(abs_squared(x).sum()) - float(abs_squared(h).sum())) <= 1e-10
+            assert abs(float(power(x).sum()) - float(power(h).sum())) <= 1e-10
 
     def test_non_power_of_two_rejected(self):
-        h = ComplexVector(np.ones(12), np.zeros(12))
         with pytest.raises(ValueError):
-            beamspace(h)
+            beamspace(np.ones(12))
+        with pytest.raises(ValueError):
+            inverse_beamspace(np.ones((2, 12)))
+
+    def test_non_finite_rejected(self):
+        for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.nan)):
+            h = np.ones((2, 16), dtype=complex)
+            h[1, 3] = bad
+            with pytest.raises(ValueError):
+                beamspace(h)
+            with pytest.raises(ValueError):
+                inverse_beamspace(h)
 
     def test_channel_power_normalization(self):
         cfg = ChannelConfig(antennas=128, users=8, paths_per_user=2)
@@ -85,7 +122,7 @@ class TestSteeringAndBeamspace:
         trials = 400
         for t in range(trials):
             for h in gen_los_channel(cfg, RngStream(92, t)):
-                total += float(abs_squared(h).sum()) / cfg.antennas
+                total += float(power(h).sum()) / cfg.antennas
         assert abs(total / (trials * cfg.users) - 1.0) <= 0.05
 
     def test_two_path_beamspace_concentration(self):
@@ -94,7 +131,7 @@ class TestSteeringAndBeamspace:
         fracs = []
         for t in range(1000):
             h = gen_los_channel(cfg, RngStream(93, t))[0]
-            e = abs_squared(beamspace(h))
+            e = power(beamspace(h))
             s = np.sort(e)[::-1]
             fracs.append(s[:8].sum() / e.sum())
         assert np.median(fracs) >= 0.9
@@ -122,12 +159,12 @@ class TestDenoisePipeline:
     CFG = ChannelConfig(antennas=128, users=8, paths_per_user=2)
 
     def test_perfect_csi_zero_mse(self):
-        res = run_denoise_pipeline(self.CFG, "perfect_csi", 0.0, 20, RngStream(94))
-        assert res["channel_mse"] == 0.0
+        res = mse_by_variant(self.CFG, ("perfect_csi",), 0.0, 20, RngStream(94))
+        assert res["perfect_csi"]["channel_mse"] == 0.0
 
     def test_ml_mse_matches_noise_power(self):
         trials = 300
-        res = run_denoise_pipeline(self.CFG, "ml", 0.0, trials, RngStream(95))
+        res = mse_by_variant(self.CFG, ("ml",), 0.0, trials, RngStream(95))["ml"]
         # |error|^2 per entry is exponential(n0): se of the mean follows
         se = 1.0 / math.sqrt(trials * self.CFG.users * self.CFG.antennas)
         assert abs(res["channel_mse"] - 1.0) <= 3 * se * 1.0 * 2
@@ -151,33 +188,37 @@ class TestDenoisePipeline:
     def test_blind_tracks_known_at_low_and_mid_snr(self):
         base = RngStream(97)
         for snr_db in (-10.0, 0.0):
-            known = run_denoise_pipeline(self.CFG, "beaches_known_n0", snr_db, 300, base)
-            blind = run_denoise_pipeline(self.CFG, "beaches_blind", snr_db, 300, base)
-            rel = abs(blind["channel_mse"] - known["channel_mse"]) / known["channel_mse"]
-            assert rel <= 0.10
+            res = mse_by_variant(self.CFG, ("beaches_known_n0", "beaches_blind"),
+                                 snr_db, 300, base)
+            known = res["beaches_known_n0"]["channel_mse"]
+            blind = res["beaches_blind"]["channel_mse"]
+            assert abs(blind - known) / known <= 0.10
 
     def test_em_variant_runs_and_is_reasonable(self):
-        base = RngStream(98)
-        em = run_denoise_pipeline(self.CFG, "beaches_em", 0.0, 100, base)
-        ml = run_denoise_pipeline(self.CFG, "ml", 0.0, 100, base)
-        assert 0.0 < em["channel_mse"] < ml["channel_mse"]
+        res = mse_by_variant(self.CFG, ("beaches_em", "ml"), 0.0, 100, RngStream(98))
+        assert 0.0 < res["beaches_em"]["channel_mse"] < res["ml"]["channel_mse"]
 
     def test_deterministic_given_stream(self):
-        a = run_denoise_pipeline(self.CFG, "beaches_blind", 0.0, 30, RngStream(99))
-        b = run_denoise_pipeline(self.CFG, "beaches_blind", 0.0, 30, RngStream(99))
+        a = mse_by_variant(self.CFG, ("beaches_blind",), 0.0, 30, RngStream(99))
+        b = mse_by_variant(self.CFG, ("beaches_blind",), 0.0, 30, RngStream(99))
         assert a == b
+
+    def test_variant_result_independent_of_companions(self):
+        alone = mse_by_variant(self.CFG, ("beaches_em",), 10.0, 5, RngStream(87))
+        together = mse_by_variant(self.CFG, VARIANTS[::-1], 10.0, 5, RngStream(87))
+        assert alone["beaches_em"] == together["beaches_em"]
 
 
 class TestBer:
     CFG = ChannelConfig(antennas=128, users=8, paths_per_user=2)
 
     def test_perfect_csi_high_snr(self):
-        res = run_ber(self.CFG, "perfect_csi", 30.0, 1000, RngStream(100))
-        assert res["ber"] < 1e-3
+        res = ber_by_variant(self.CFG, ("perfect_csi",), 30.0, 1000, RngStream(100))
+        assert res["perfect_csi"]["ber"] < 1e-3
 
     def test_monotone_in_snr(self):
         base = RngStream(101)
-        bers = [run_ber(self.CFG, "ml", snr, 400, base)["ber"]
+        bers = [ber_by_variant(self.CFG, ("ml",), snr, 400, base)["ml"]["ber"]
                 for snr in (0.0, 10.0, 20.0)]
         bits = 400 * 4 * self.CFG.users
         for lo_snr, hi_snr in zip(bers[1:], bers[:-1]):
@@ -186,11 +227,17 @@ class TestBer:
 
     def test_variant_ordering_at_ten_db(self):
         base = RngStream(102)
-        out = {v: run_ber(self.CFG, v, 10.0, 400, base)["ber"]
-               for v in ("perfect_csi", "beaches_blind", "ml")}
+        res = ber_by_variant(self.CFG, ("perfect_csi", "beaches_blind", "ml"),
+                             10.0, 400, base)
+        out = {v: r["ber"] for v, r in res.items()}
         assert out["perfect_csi"] <= out["beaches_blind"] <= out["ml"]
 
     def test_deterministic_given_stream(self):
-        a = run_ber(self.CFG, "ml", 10.0, 50, RngStream(103))
-        b = run_ber(self.CFG, "ml", 10.0, 50, RngStream(103))
+        a = ber_by_variant(self.CFG, ("ml",), 10.0, 50, RngStream(103))
+        b = ber_by_variant(self.CFG, ("ml",), 10.0, 50, RngStream(103))
         assert a == b
+
+    def test_variant_result_independent_of_companions(self):
+        alone = ber_by_variant(self.CFG, ("beaches_blind",), 0.0, 20, RngStream(86))
+        together = ber_by_variant(self.CFG, VARIANTS, 0.0, 20, RngStream(86))
+        assert alone["beaches_blind"] == together["beaches_blind"]

@@ -119,7 +119,7 @@ class TestEmFit:
         (1, 16, (0.3, 2.0, 2.0), 681),              # one ordering swap
     ])
     def test_op_estimate_pinned(self, seed, dim, init, expected):
-        # recorded from the per-operation tally the closed form replaced
+        # recorded from an operation-by-operation tally of the update formulas
         z = mixture_powers(np.random.default_rng(seed), dim)
         start = MixtureParams(*init) if init else em_default_init(z)
         assert em_fit(z, start).op_estimate == expected
@@ -133,6 +133,15 @@ class TestEmFit:
         assert fit.params.weight_active == 0.0
         assert fit.params.var_large == 2.0
         assert abs(fit.n0_em - float(z.mean())) <= 1e-9
+
+    def test_large_collapse_keeps_variance_order(self):
+        # the small variance updates above the frozen large one; the
+        # frozen value is raised to keep the pair ordered
+        z = np.array([0.0014796647144725897, 3.0886084418566666])
+        fit = em_fit(z, MixtureParams(1e-12, 0.5822299963542076, 1.0363857145259452))
+        assert fit.converged
+        assert fit.params.weight_active == 0.0
+        assert fit.params.var_small <= fit.params.var_large
 
     def test_rejects_negative_powers(self):
         with pytest.raises(ValueError):
