@@ -18,8 +18,11 @@ Two experiments evaluate a tuple of denoising variants:
 Each trial is drawn once from its own substream, in trial order: the
 channels, their beamspace and the observation noise (and, for the BER,
 the data bits and data noise) are shared by every variant evaluated on
-it. The estimators use no randomness, so a variant's result does not
-depend on which other variants run beside it.
+it. Each variant is evaluated once per trial, on the whole (users,
+antennas) observation block, through the row kernels of
+:mod:`blindsnr.sure` and :mod:`blindsnr.em`. The estimators use no
+randomness, so a variant's result does not depend on which other
+variants run beside it.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexVector, RngStream, abs_squared
-from .em import em_default_init, em_fit
-from .sure import denoise_blind, search_threshold, soft_threshold
+from .core import RngStream, abs_squared
+from .em import em_fit_rows, em_init_rows
+from .sure import denoise_blind_rows, search_rows, soft_threshold_rows
 
 VARIANTS = ("perfect_csi", "ml", "beaches_known_n0", "beaches_blind", "beaches_em")
 
@@ -121,26 +124,29 @@ def inverse_beamspace(x) -> np.ndarray:
     return np.fft.ifft(x, axis=-1) * math.sqrt(x.shape[-1])
 
 
-def _estimate_beamspace(variant: str, y: ComplexVector, x_true: np.ndarray,
-                        n0_true: float):
-    """Apply one variant to a noisy beamspace observation.
+def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: float):
+    """Yield (variant, estimate, n0 used per user) for each variant.
 
-    Returns (estimate, n0_used_by_the_variant).
+    ``x`` and ``y`` are the (users, antennas) beamspace channels and their
+    noisy observations; each estimate has the same shape.
     """
-    if variant == "perfect_csi":
-        return x_true, n0_true
-    if variant == "ml":
-        return y.values, n0_true
-    if variant == "beaches_known_n0":
-        found = search_threshold(y, n0_true)
-        return soft_threshold(y, found.tau_star).values, n0_true
-    if variant == "beaches_blind":
-        denoised, _, noise = denoise_blind(y)
-        return denoised.values, noise.value
-    z = abs_squared(y)  # beaches_em
-    fit = em_fit(z, em_default_init(z))
-    found = search_threshold(y, fit.n0_em)
-    return soft_threshold(y, found.tau_star).values, fit.n0_em
+    known = [n0] * len(y)
+    for variant in variants:
+        if variant == "perfect_csi":
+            yield variant, x, known
+        elif variant == "ml":
+            yield variant, y, known
+        elif variant == "beaches_known_n0":
+            tau, _ = search_rows(y, n0)
+            yield variant, soft_threshold_rows(y, tau), known
+        elif variant == "beaches_blind":
+            denoised, n0_hat = denoise_blind_rows(y)
+            yield variant, denoised, n0_hat.tolist()
+        else:  # beaches_em
+            z = abs_squared(y)
+            n0_em = [fit.n0_em for fit in em_fit_rows(z, em_init_rows(z))]
+            tau, _ = search_rows(y, n0_em)
+            yield variant, soft_threshold_rows(y, tau), n0_em
 
 
 def _trials(cfg: ChannelConfig, variants: tuple, n0: float, trials: int,
@@ -148,9 +154,9 @@ def _trials(cfg: ChannelConfig, variants: tuple, n0: float, trials: int,
     """Yield each trial's draw, shared by every variant evaluated on it.
 
     A draw is (generator, channels, beamspace, observations): the trial's
-    generator, left where the observation noise ends, the (users,
-    antennas) channels and their beamspace, and one noisy beamspace
-    observation per user with noise power ``n0``.
+    generator, left where the observation noise ends, and the (users,
+    antennas) channels, their beamspace and its noisy observation with
+    noise power ``n0``.
     """
     if not variants or not set(variants) <= set(VARIANTS):
         raise ValueError(f"variants must be a non-empty tuple drawn from {VARIANTS}, "
@@ -164,8 +170,7 @@ def _trials(cfg: ChannelConfig, variants: tuple, n0: float, trials: int,
         x = beamspace(h)
         # per user, the real parts of the noise and then the imaginary parts
         w = st.gen.standard_normal((cfg.users, 2, cfg.antennas))
-        y = x + noise_scale * (w[:, 0] + 1j * w[:, 1])
-        yield st.gen, h, x, [ComplexVector(row.real, row.imag) for row in y]
+        yield st.gen, h, x, x + noise_scale * (w[:, 0] + 1j * w[:, 1])
 
 
 def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
@@ -180,13 +185,13 @@ def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
     d = cfg.antennas
     mse_sum = dict.fromkeys(variants, 0.0)
     n0_used = {v: [] for v in variants}
-    for _, _, x, ys in _trials(cfg, variants, n0, trials, rng):
-        for x_user, y in zip(x, ys):
-            for v in variants:
-                xhat, n0_var = _estimate_beamspace(v, y, x_user, n0)
-                err = xhat - x_user
-                mse_sum[v] += float((err.real * err.real + err.imag * err.imag).sum()) / d
-                n0_used[v].append(n0_var)
+    for _, _, x, y in _trials(cfg, variants, n0, trials, rng):
+        for v, xhat, n0_var in _estimates(variants, x, y, n0):
+            err = xhat - x
+            per_user = (err.real * err.real + err.imag * err.imag).sum(axis=-1) / d
+            for mse in per_user.tolist():  # the running sum adds users in order
+                mse_sum[v] += mse
+            n0_used[v].extend(n0_var)
     out = {}
     for v in variants:
         used = np.asarray(n0_used[v])
@@ -234,15 +239,13 @@ def ber_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
     noise_scale = math.sqrt(n0 / 2.0)
     reg = u * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR
     errors = dict.fromkeys(variants, 0)
-    for g, h, x, ys in _trials(cfg, variants, n0, trials, rng):
+    for g, h, x, y in _trials(cfg, variants, n0, trials, rng):
         bits = g.integers(0, 2, (u, 4))
         sym = qam16_modulate(bits)
         w_data = noise_scale * (g.standard_normal(d) + 1j * g.standard_normal(d))
         # C-contiguous (antennas, users) copies: BLAS rounds transposed views differently
         r = np.ascontiguousarray(h.T) @ sym + w_data
-        for v in variants:
-            x_hat = np.array([_estimate_beamspace(v, y, x_user, n0)[0]
-                              for x_user, y in zip(x, ys)])
+        for v, x_hat, _ in _estimates(variants, x, y, n0):
             h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).T)
             gram = h_hat.conj().T @ h_hat + reg * np.eye(u)
             sym_hat = np.linalg.solve(gram, h_hat.conj().T @ r)

@@ -21,6 +21,7 @@ assertion failure (with ``--summary``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,9 +31,9 @@ import numpy as np
 
 from .channel import VARIANTS, ChannelConfig, ber_by_variant, mse_by_variant
 from .core import BcgParams, RngStream, abs_squared, add, sample_bcg, sample_noise
-from .em import em_default_init, em_fit
+from .em import em_fit_rows, em_init_rows
 from .estimators import genie_estimates
-from .sure import DenoiserFunction, blind_report, search_threshold
+from .sure import DenoiserFunction, blind_report, search_rows
 from .theory import theorem1_bounds
 
 EXPERIMENTS = ("sweep_snr", "sweep_p", "sweep_dim", "bounds_grid",
@@ -126,12 +127,36 @@ def _stats(values) -> tuple:
     return mean, std
 
 
+# Entries per EM block in the estimator sweeps: one block holds every
+# trial of a usual SNR point, and the block's temporaries stay a few MB
+# however many trials are asked for.
+_EM_BLOCK_ENTRIES = 1 << 18
+
+
+def _em_block(e: dict, ys: np.ndarray) -> None:
+    """Append the EM family's quantities for a (trials, dim) block."""
+    z = abs_squared(ys)
+    fits = em_fit_rows(z, em_init_rows(z))
+    n0 = [fit.n0_em for fit in fits]
+    _, sure = search_rows(ys, n0)
+    e["n0"].extend(n0)
+    e["es"].extend(fit.params.weight_active * (fit.params.var_large - fit.params.var_small)
+                   for fit in fits)
+    e["snr"].extend(fit.snr_em for fit in fits)
+    e["mse"].extend(max(value, 0.0) for value in sure.tolist())
+
+
 def _point_trials(cfg: SweepConfig, params: BcgParams):
-    """Blind / EM / genie per-trial quantities at one model point."""
+    """Blind / EM / genie per-trial quantities at one model point.
+
+    The EM family runs on blocks of consecutive trials' observations.
+    """
     out = {f: {q: [] for q in ("n0", "es", "snr", "mse")}
            for f in ESTIMATOR_FAMILIES}
     want_em = "em" in cfg.estimators
     want_genie = "genie" in cfg.estimators
+    block = max(1, _EM_BLOCK_ENTRIES // params.dim)
+    ys = []
     for t in range(cfg.trials):
         st = RngStream(cfg.seed, stream_id=t)
         s = sample_bcg(params, st)
@@ -144,15 +169,10 @@ def _point_trials(cfg: SweepConfig, params: BcgParams):
         b["snr"].append(rep.snr.value)
         b["mse"].append(rep.mse.value)
         if want_em:
-            z = abs_squared(y)
-            fit = em_fit(z, em_default_init(z))
-            found = search_threshold(y, fit.n0_em)
-            e = out["em"]
-            e["n0"].append(fit.n0_em)
-            e["es"].append(fit.params.weight_active
-                           * (fit.params.var_large - fit.params.var_small))
-            e["snr"].append(fit.snr_em)
-            e["mse"].append(max(found.sure_at_tau, 0.0))
+            ys.append(y.values)
+            if len(ys) == block or t == cfg.trials - 1:
+                _em_block(out["em"], np.array(ys))
+                ys = []
         if want_genie:
             rep_f = DenoiserFunction.soft(rep.search.tau_star)
             gen = genie_estimates(s, n, y, rep_f)
@@ -379,6 +399,7 @@ def _read_config_file(path: str) -> dict:
     return settings
 
 
+@functools.cache  # built once per process: each add_argument queries the terminal
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blindsnr",

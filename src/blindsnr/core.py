@@ -210,8 +210,10 @@ def add(a: ComplexVector, b: ComplexVector) -> ComplexVector:
     return ComplexVector.from_complex(a.values + b.values)
 
 
-def abs_squared(a: ComplexVector) -> np.ndarray:
-    """Entrywise squared magnitude re^2 + im^2 as a float64 array."""
-    re = a.re
-    im = a.im
+def abs_squared(a) -> np.ndarray:
+    """Entrywise squared magnitude re^2 + im^2 of a :class:`ComplexVector` or
+    of a complex array of any shape, as a float64 array."""
+    z = a.values if isinstance(a, ComplexVector) else a
+    re = z.real
+    im = z.imag
     return re * re + im * im

@@ -13,6 +13,7 @@ the noise realization) are included for Monte-Carlo comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -98,8 +99,8 @@ def noise_power_from_sorted(z_sorted: np.ndarray) -> NoisePowerEstimate:
 
 def estimate_signal_power(y: ComplexVector, n0_hat: float) -> SignalPowerEstimate:
     """Sample receive power minus the noise power estimate, clipped at zero."""
-    if n0_hat < 0.0:
-        raise ValueError("n0_hat must be non-negative")
+    if not 0.0 <= n0_hat < math.inf:
+        raise ValueError("n0_hat must be non-negative and finite")
     raw = float(abs_squared(y).sum()) / y.dim - n0_hat
     return SignalPowerEstimate(value=max(raw, 0.0), raw=raw)
 
@@ -111,8 +112,8 @@ def estimate_snr(y: ComplexVector, n0_hat: float) -> SnrEstimate:
     inputs, which indicate an upstream problem, so it is rejected rather
     than mapped to infinity.
     """
-    if not n0_hat > 0.0:
-        raise ValueError("n0_hat must be strictly positive")
+    if not 0.0 < n0_hat < math.inf:
+        raise ValueError("n0_hat must be strictly positive and finite")
     ey = float(abs_squared(y).sum()) / y.dim
     raw = ey / n0_hat - 1.0
     return SnrEstimate(value=max(raw, 0.0), raw=raw)
@@ -126,8 +127,8 @@ def estimate_mse(y: ComplexVector, f: "DenoiserFunction", n0_hat: float) -> MseE
     at y_d. A divergence that is undefined (NaN) at any sample point is an
     error; entries are never silently skipped.
     """
-    if n0_hat < 0.0:
-        raise ValueError("n0_hat must be non-negative")
+    if not 0.0 <= n0_hat < math.inf:
+        raise ValueError("n0_hat must be non-negative and finite")
     d = y.dim
     fy = f.evaluate(y)
     resid = fy.values - y.values

@@ -146,11 +146,15 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
     return MedianResult(value=value, method=method, ops=counter.snapshot())
 
 
-def median_from_sorted(sorted_x: np.ndarray) -> float:
-    """Sample median of an already ascending-sorted array (no re-sort)."""
-    d = sorted_x.size
+def median_from_sorted(sorted_x: np.ndarray):
+    """Sample median along the last axis of an ascending-sorted array (no re-sort).
+
+    A float for a one-dimensional input, else one median per row.
+    """
+    d = sorted_x.shape[-1] if sorted_x.ndim else 0
     if d == 0:
         raise ValueError("cannot take the median of an empty array")
     lo = (d + 1) // 2
     hi = d // 2 + 1
-    return 0.5 * (float(sorted_x[lo - 1]) + float(sorted_x[hi - 1]))
+    med = 0.5 * (sorted_x[..., lo - 1] + sorted_x[..., hi - 1])
+    return float(med) if sorted_x.ndim == 1 else med

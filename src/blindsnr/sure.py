@@ -18,15 +18,22 @@ zero-map candidate, all in closed form after one sort: O(D log D) total.
 
 The fully blind variant reuses the same sorted array to form the
 median-based noise estimate, so a single sort serves both jobs.
+
+The kernels work along the last axis, on one vector or on an (R, D)
+block of rows with one noise power or threshold per row:
+:func:`search_rows`, :func:`soft_threshold_rows` and
+:func:`denoise_blind_rows`. The per-vector functions are one-row calls
+into the same kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexVector, abs_squared
+from .core import LOG2, ComplexVector, abs_squared
 from .estimators import (
     MseEstimate,
     NoisePowerEstimate,
@@ -37,6 +44,7 @@ from .estimators import (
     estimate_snr,
     noise_power_from_sorted,
 )
+from .selection import median_from_sorted
 
 
 @dataclass(frozen=True)
@@ -55,21 +63,47 @@ class ThresholdSearchResult:
     candidates_evaluated: int
 
 
-def _magnitudes(y: ComplexVector) -> np.ndarray:
+def _magnitudes(values: np.ndarray) -> np.ndarray:
     # sqrt(re^2 + im^2) everywhere, so threshold comparisons are bit-identical
     # across the evaluate / risk / search paths.
-    return np.sqrt(abs_squared(y))
+    return np.sqrt(abs_squared(values))
+
+
+def _check_tau(tau) -> None:
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be non-negative and finite")
+
+
+def _check_n0(n0) -> None:
+    if not 0.0 < n0 < math.inf:
+        raise ValueError("n0 must be positive and finite")
+
+
+def _shrink(values: np.ndarray, r: np.ndarray, tau) -> np.ndarray:
+    """(y/|y|) max(|y| - tau, 0) along the last axis, given r = |y| and tau
+    as a scalar or an (R, 1) column."""
+    keep = r > tau
+    if isinstance(tau, np.ndarray):
+        tau = np.broadcast_to(tau, r.shape)[keep]
+    scale = np.zeros_like(r)
+    scale[keep] = 1.0 - tau / r[keep]
+    return values * scale
+
+
+def soft_threshold_rows(values, tau) -> np.ndarray:
+    """Soft threshold of each row of a complex array; ``tau`` is one
+    non-negative finite threshold, or one per row."""
+    values = np.asarray(values, dtype=np.complex128)
+    tau = np.asarray(tau, dtype=np.float64)
+    if not ((tau >= 0.0) & (tau < math.inf)).all():
+        raise ValueError("tau must be non-negative and finite")
+    return _shrink(values, _magnitudes(values), tau[..., None])
 
 
 def soft_threshold(y: ComplexVector, tau: float) -> ComplexVector:
     """Entrywise (y_d/|y_d|) * max(|y_d| - tau, 0), with 0 mapped to 0."""
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    r = _magnitudes(y)
-    keep = r > tau
-    scale = np.zeros_like(r)
-    scale[keep] = 1.0 - tau / r[keep]
-    out = y.values * scale
+    _check_tau(tau)
+    out = _shrink(y.values, _magnitudes(y.values), tau)
     return ComplexVector(out.real, out.imag)
 
 
@@ -90,8 +124,8 @@ class DenoiserFunction:
         if kind not in self.KINDS:
             raise ValueError(f"unknown denoiser kind {kind!r}")
         if kind == "soft_threshold":
-            if tau is None or tau < 0.0:
-                raise ValueError("soft_threshold requires tau >= 0")
+            if tau is None or not 0.0 <= tau < math.inf:
+                raise ValueError("soft_threshold requires a finite tau >= 0")
             tau = float(tau)
         elif tau is not None:
             raise ValueError(f"{kind} takes no tau parameter")
@@ -122,7 +156,7 @@ class DenoiserFunction:
             return np.full(y.dim, 2.0)
         if self.kind == "zero":
             return np.zeros(y.dim)
-        r = _magnitudes(y)
+        r = _magnitudes(y.values)
         above = r > self.tau
         div = np.zeros(y.dim)
         div[above] = 2.0 - self.tau / r[above]
@@ -140,10 +174,8 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     Agrees with :func:`blindsnr.estimators.estimate_mse` applied to the
     corresponding soft-threshold denoiser up to rounding.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    if not n0 > 0.0:
-        raise ValueError("n0 must be positive")
+    _check_tau(tau)
+    _check_n0(n0)
     z = abs_squared(y)
     r = np.sqrt(z)
     d = y.dim
@@ -155,42 +187,60 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     return term1 - n0 + n0 * div / d
 
 
-def _sure_from_sorted(taus: np.ndarray, rs: np.ndarray, prefix_z: np.ndarray,
-                      suffix_recip: np.ndarray, n0: float) -> np.ndarray:
-    """Exact SURE at each tau given ascending magnitudes and prefix sums."""
-    d = rs.size
-    j = np.searchsorted(rs, taus, side="right")  # entries <= tau: below
-    above = (d - j).astype(np.float64)
-    return (prefix_z[j] + above * taus * taus) / d - n0 \
-        + (n0 / d) * (2.0 * above - taus * suffix_recip[j])
+def _search_sorted(rs: np.ndarray, n0):
+    """SURE minimum over tau >= 0 for ascending magnitudes along the last axis.
 
-
-def _search_sorted_magnitudes(rs: np.ndarray, n0: float) -> ThresholdSearchResult:
-    d = rs.size
-    z = rs * rs
-    prefix_z = np.concatenate(([0.0], np.cumsum(z)))
-    recip = np.zeros(d)
+    ``rs`` is (D,) or (R, D), ``n0`` a scalar or an (R, 1) column. Returns
+    (tau_star, sure_at_tau), each a scalar or one per row.
+    """
+    d = rs.shape[-1]
+    lead = rs.shape[:-1]
+    edge = np.zeros(lead + (1,))
+    prefix_z = np.concatenate((edge, np.cumsum(rs * rs, axis=-1)), axis=-1)
+    recip = np.zeros_like(rs)
     nz = rs > 0
     recip[nz] = 1.0 / rs[nz]
-    suffix_recip = np.concatenate((np.cumsum(recip[::-1])[::-1], [0.0]))
+    suffix_recip = np.concatenate(
+        (np.cumsum(recip[..., ::-1], axis=-1)[..., ::-1], edge), axis=-1)
 
     # For tau in [rs[k-1], rs[k]) exactly k entries sit below threshold;
     # the above-set has c = d - k entries and the smooth piece is minimized
     # at tau = n0 * S / (2 c) with S the reciprocal sum over the above-set.
-    k = np.arange(d)
-    c = (d - k).astype(np.float64)
-    s_above = suffix_recip[:d]
-    tau_raw = n0 * s_above / (2.0 * c)
-    lower = np.concatenate(([0.0], rs[:-1]))
+    c = np.arange(d, 0, -1, dtype=np.float64)
+    tau_raw = n0 * suffix_recip[..., :d] / (2.0 * c)
+    lower = np.concatenate((edge, rs[..., :-1]), axis=-1)
     stationary = np.clip(tau_raw, lower, rs)
+    taus = np.concatenate((edge, stationary, rs[..., -1:]), axis=-1)
 
-    taus = np.concatenate(([0.0], stationary, rs[-1:]))
-    sures = _sure_from_sorted(taus, rs, prefix_z, suffix_recip, n0)
-    best = np.lexsort((taus, sures))[0]  # ties resolved toward smaller tau
-    return ThresholdSearchResult(tau_star=float(taus[best]),
-                                 sure_at_tau=float(sures[best]),
-                                 n0_used=float(n0),
-                                 candidates_evaluated=int(taus.size))
+    # exact SURE at each candidate: entries <= tau are below threshold
+    if rs.ndim == 1:
+        j = np.searchsorted(rs, taus, side="right")
+        at = j
+    else:
+        j = np.empty(taus.shape, dtype=np.intp)
+        for row in range(len(rs)):
+            j[row] = np.searchsorted(rs[row], taus[row], side="right")
+        at = (np.arange(len(rs))[:, None], j)
+    above = (d - j).astype(np.float64)
+    sures = (prefix_z[at] + above * taus * taus) / d - n0 \
+        + (n0 / d) * (2.0 * above - taus * suffix_recip[at])
+
+    best = np.lexsort((taus, sures), axis=-1)[..., 0]  # ties: smaller tau wins
+    pick = best if rs.ndim == 1 else (at[0][:, 0], best)
+    return taus[pick], sures[pick]
+
+
+def search_rows(values, n0):
+    """Threshold search on each row of a complex (R, D) array.
+
+    ``n0`` is one positive finite noise power, or one per row. Returns
+    (tau_star, sure_at_tau), one per row; see :func:`search_threshold`.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    n0 = np.asarray(n0, dtype=np.float64)
+    if not ((n0 > 0.0) & (n0 < math.inf)).all():
+        raise ValueError("n0 must be positive and finite")
+    return _search_sorted(np.sort(_magnitudes(values), axis=-1), n0[..., None])
 
 
 def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
@@ -200,10 +250,26 @@ def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
     stationary point of every inter-order-statistic interval plus tau = 0
     and the zero-map candidate; total cost O(D log D).
     """
-    if not n0 > 0.0:
-        raise ValueError("n0 must be positive")
-    rs = np.sort(_magnitudes(y))
-    return _search_sorted_magnitudes(rs, n0)
+    _check_n0(n0)
+    tau, sure = _search_sorted(np.sort(_magnitudes(y.values)), n0)
+    return ThresholdSearchResult(tau_star=float(tau), sure_at_tau=float(sure),
+                                 n0_used=float(n0), candidates_evaluated=y.dim + 2)
+
+
+def denoise_blind_rows(values):
+    """Blind soft-threshold denoising of each row of a complex (R, D) array.
+
+    Returns (denoised rows, noise estimate per row); see
+    :func:`denoise_blind`. Rows whose noise estimate is zero come back
+    unchanged.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    z = abs_squared(values)
+    zs = np.sort(z, axis=-1)
+    n0 = median_from_sorted(zs)[:, None] / LOG2
+    tau, _ = _search_sorted(np.sqrt(zs), n0)
+    denoised = _shrink(values, np.sqrt(z), tau[:, None])
+    return np.where(n0 > 0.0, denoised, values), n0[:, 0]
 
 
 def denoise_blind(y: ComplexVector):
@@ -218,14 +284,19 @@ def denoise_blind(y: ComplexVector):
     no usable noise information, so the input is returned unchanged with
     tau = 0.
     """
-    zs = np.sort(abs_squared(y))
+    z = abs_squared(y)
+    zs = np.sort(z)
     noise = noise_power_from_sorted(zs)
     if noise.value <= 0.0:
         degenerate = ThresholdSearchResult(tau_star=0.0, sure_at_tau=0.0,
                                            n0_used=0.0, candidates_evaluated=0)
         return y, degenerate, noise
-    search = _search_sorted_magnitudes(np.sqrt(zs), noise.value)
-    return soft_threshold(y, search.tau_star), search, noise
+    tau, sure = _search_sorted(np.sqrt(zs), noise.value)
+    search = ThresholdSearchResult(tau_star=float(tau), sure_at_tau=float(sure),
+                                   n0_used=noise.value,
+                                   candidates_evaluated=y.dim + 2)
+    out = _shrink(y.values, np.sqrt(z), tau)
+    return ComplexVector(out.real, out.imag), search, noise
 
 
 @dataclass(frozen=True)

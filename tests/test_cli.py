@@ -137,6 +137,13 @@ class TestConfigAndExitCodes:
         assert main(["sweep-snr", "--trials", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_bad_flag_after_successful_call_exits_two(self, tmp_path, capsys):
+        # the parser is built once per process; a later call still rejects
+        assert main(["sweep-snr", "--trials", "2", "--snr-db", "0",
+                     "--estimators", "blind", "--out", str(tmp_path / "x.csv")]) == 0
+        assert main(["sweep-snr", "--no-such-flag"]) == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+
     def test_sweep_p_requires_list(self, tmp_path):
         assert main(["sweep-p", "--trials", "5",
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,10 +1,14 @@
-"""EM baseline: recovery, likelihood ascent, ordering, caps, and cost floor."""
+"""EM baseline: recovery, likelihood ascent, ordering, caps, cost floor, and the
+row kernel against the per-vector loop it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsnr import LOG2, MixtureParams, em_default_init, em_fit, em_step
-from blindsnr.em import MAX_ITERATIONS, mixture_loglik, paper_op_floor
+from blindsnr.em import (MAX_ITERATIONS, em_fit_rows, em_init_rows, mixture_loglik,
+                         paper_op_floor)
 
 
 def mixture_powers(rng, d, p=0.1, n0=1.0, eh=10.0):
@@ -167,3 +171,138 @@ class TestEmFit:
         init = em_default_init(z)
         fit = em_fit(z, init)
         assert fit.loglik_trace[0] == pytest.approx(mixture_loglik(z, init), rel=1e-12)
+
+
+# --- row kernel against the per-vector reference --------------------------
+
+def _reference_update(z, p, s1, s2, sum_z, floor):
+    """The per-vector E+M update the row kernel replaced."""
+    d = z.size
+    inv1, inv2 = 1.0 / s1, 1.0 / s2
+    g1 = inv1 * np.exp(-(z * inv1))
+    g2 = inv2 * np.exp(-(z * inv2))
+    w2 = p * g2
+    den = (1.0 - p) * g1 + w2
+    ok = den > 0
+    gamma = np.where(ok, w2 / np.where(ok, den, 1.0), 1.0)
+    loglik = float(np.log(np.where(ok, den, 5e-324)).sum())
+    sg = float(gamma.sum())
+    sgz = float((gamma * z).sum())
+    if sg < 1e-9:
+        s1_new = max((sum_z - sgz) / (d - sg), floor)
+        return 0.0, s1_new, max(s2, s1_new), loglik, True, False
+    if d - sg < 1e-9:
+        return 1.0, s1, max(sgz / sg, floor, s1), loglik, True, False
+    p_new = sg / d
+    s2_new = max(sgz / sg, floor)
+    s1_new = max((sum_z - sgz) / (d - sg), floor)
+    if s1_new > s2_new:
+        return 1.0 - p_new, s2_new, s1_new, loglik, False, True
+    return p_new, s1_new, s2_new, loglik, False, False
+
+
+def reference_em_fit(z, init):
+    """The per-vector EM loop: (params, iterations, converged, op_estimate, trace)."""
+    d = z.size
+    sum_z = float(z.sum())
+    floor = max(1e-12 * (sum_z / d), 5e-324)
+    p, s1, s2 = init
+    trace, converged, swaps, collapse_ops = [], False, 0, 0
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        p_new, s1_new, s2_new, loglik, collapsed, swapped = _reference_update(
+            z, p, s1, s2, sum_z, floor)
+        trace.append(loglik)
+        if collapsed:
+            p, s1, s2 = p_new, s1_new, s2_new
+            converged = True
+            collapse_ops = 3 if p == 0.0 else 1
+            break
+        swaps += swapped
+        delta = abs(p_new - p) + abs(s1_new - s1) + abs(s2_new - s2)
+        base = p + s1 + s2
+        p, s1, s2 = p_new, s1_new, s2_new
+        if delta / base < 1e-3:
+            converged = True
+            break
+    ops = (4 * d + iterations * (18 * d + 2) + 18 * (iterations - (collapse_ops > 0))
+           + swaps + collapse_ops)
+    return (p, s1, s2), iterations, converged, ops, tuple(trace)
+
+
+def reference_default_init(z):
+    s = np.sort(z)
+    d = z.size
+    s1 = 0.5 * (float(s[(d + 1) // 2 - 1]) + float(s[d // 2])) / LOG2
+    if s1 <= 0.0:
+        s1 = max(float(z.mean()), 5e-324)
+    s2 = max(2.0 * float(z.mean()), 2.0 * s1)
+    return 0.5, s1, max(s2, s1)
+
+
+def em_rows_data(seed, rows, dim, kind):
+    """(rows, dim) squared magnitudes: mixture, zero, tied or half-zero rows."""
+    rng = np.random.default_rng(seed)
+    z = np.stack([mixture_powers(rng, dim) for _ in range(rows)])
+    if kind == "zero":
+        z[rng.random(rows) < 0.5] = 0.0
+    elif kind == "tied":
+        z = np.round(z)
+    elif kind == "half_zero":
+        z[:, : (dim + 1) // 2] = 0.0
+    return z
+
+
+INITS = {
+    "default": None,
+    "large_collapse": (0.0, 1.0, 2.0),
+    "small_collapse": (1.0, 1.0, 2.0),
+    "near_empty": (1e-6, 1.0, 2.0),
+    "swap": (0.3, 2.0, 2.0),
+}
+
+
+def assert_rows_match_reference(z, init_kind):
+    if INITS[init_kind] is None:
+        init = em_init_rows(z)
+        for row, start in zip(z, init.tolist()):
+            assert tuple(start) == reference_default_init(row)
+            assert em_default_init(row) == MixtureParams(*reference_default_init(row))
+    else:
+        init = np.tile(INITS[init_kind], (len(z), 1))
+    fits = em_fit_rows(z, init)
+    outcomes = []
+    for row, start, fit in zip(z, init.tolist(), fits):
+        params, iterations, converged, ops, trace = reference_em_fit(row, start)
+        got = fit.params
+        assert (got.weight_active, got.var_small, got.var_large) == params
+        assert (fit.iterations, fit.converged, fit.op_estimate) == (iterations, converged, ops)
+        assert fit.loglik_trace == trace
+        assert fit.n0_em == params[1]
+        assert em_fit(row, MixtureParams(*start)) == fit
+        outcomes.append("collapsed_large" if got.weight_active == 0.0 and fit.converged
+                        else "collapsed_small" if got.weight_active == 1.0
+                        else "capped" if not converged else "converged")
+    return outcomes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf on zero rows
+class TestRowsMatchPerVectorReference:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9),
+           dim=st.integers(1, 256),
+           kind=st.sampled_from(["mixture", "zero", "tied", "half_zero"]),
+           init_kind=st.sampled_from(sorted(INITS)))
+    def test_bit_identical(self, seed, rows, dim, kind, init_kind):
+        if dim == 1 and init_kind == "default":
+            init_kind = "swap"  # the median seed needs two samples
+        assert_rows_match_reference(em_rows_data(seed, rows, dim, kind), init_kind)
+
+    def test_covers_collapses_and_caps(self):
+        # fixed blocks that reach each way a fit can end
+        seen = set()
+        for init_kind in ("default", "large_collapse", "small_collapse"):
+            z = em_rows_data(5, 9, 64, "mixture")
+            seen.update(assert_rows_match_reference(z, init_kind))
+        seen.update(assert_rows_match_reference(em_rows_data(6, 4, 3, "half_zero"),
+                                                "default"))
+        assert seen >= {"collapsed_large", "collapsed_small", "capped", "converged"}

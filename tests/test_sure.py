@@ -1,9 +1,12 @@
-"""Soft thresholding, its risk estimate, and the adaptive threshold search."""
+"""Soft thresholding, its risk estimate, the adaptive threshold search, and the
+row kernels against the per-vector code they replaced."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsnr import (
     ComplexVector,
@@ -19,6 +22,7 @@ from blindsnr import (
     soft_threshold,
     sure_of_threshold,
 )
+from blindsnr.sure import denoise_blind_rows, search_rows, soft_threshold_rows
 
 from conftest import bcg_params, draw_observation
 
@@ -281,3 +285,84 @@ class TestBlindReport:
         assert rep.noise.value == 0.0
         assert rep.snr.value == 0.0
         assert rep.mse.value == 0.0
+
+
+# --- row kernels against the per-vector reference -------------------------
+
+def reference_search(rs, n0):
+    """The per-vector search on ascending magnitudes: (tau_star, sure_at_tau)."""
+    d = rs.size
+    prefix_z = np.concatenate(([0.0], np.cumsum(rs * rs)))
+    recip = np.zeros(d)
+    nz = rs > 0
+    recip[nz] = 1.0 / rs[nz]
+    suffix_recip = np.concatenate((np.cumsum(recip[::-1])[::-1], [0.0]))
+    c = (d - np.arange(d)).astype(np.float64)
+    tau_raw = n0 * suffix_recip[:d] / (2.0 * c)
+    stationary = np.clip(tau_raw, np.concatenate(([0.0], rs[:-1])), rs)
+    taus = np.concatenate(([0.0], stationary, rs[-1:]))
+    j = np.searchsorted(rs, taus, side="right")
+    above = (d - j).astype(np.float64)
+    sures = (prefix_z[j] + above * taus * taus) / d - n0 \
+        + (n0 / d) * (2.0 * above - taus * suffix_recip[j])
+    best = np.lexsort((taus, sures))[0]
+    return float(taus[best]), float(sures[best])
+
+
+def reference_soft(values, tau):
+    r = np.sqrt(abs_squared(values))
+    keep = r > tau
+    scale = np.zeros_like(r)
+    scale[keep] = 1.0 - tau / r[keep]
+    return values * scale
+
+
+def sure_rows_data(seed, rows, dim, kind):
+    """(rows, dim) complex observations: noise plus a sparse part, with zero,
+    tied or half-zero rows."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    y += np.where(rng.random((rows, dim)) < 0.1, 5.0, 0.0)
+    if kind == "zero":
+        y[rng.random(rows) < 0.5] = 0.0
+    elif kind == "tied":
+        y = np.round(y)
+    elif kind == "half_zero":
+        y[:, : (dim + 1) // 2] = 0.0
+    return y
+
+
+class TestRowsMatchPerVectorReference:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9),
+           dim=st.integers(1, 256),
+           kind=st.sampled_from(["noise", "zero", "tied", "half_zero"]),
+           n0_scale=st.floats(1e-3, 1e3))
+    def test_bit_identical(self, seed, rows, dim, kind, n0_scale):
+        y = sure_rows_data(seed, rows, dim, kind)
+        n0 = n0_scale * np.arange(1, rows + 1)
+        tau, sure = search_rows(y, n0)
+        shrunk = soft_threshold_rows(y, tau)
+        denoised, n0_hat = denoise_blind_rows(y)
+        for k, row in enumerate(y):
+            rs = np.sort(np.sqrt(abs_squared(row)))
+            assert (tau[k], sure[k]) == reference_search(rs, n0[k])
+            v = ComplexVector.from_complex(row)
+            found = search_threshold(v, n0[k])
+            assert (found.tau_star, found.sure_at_tau) == (tau[k], sure[k])
+            assert shrunk[k].tobytes() == reference_soft(row, tau[k]).tobytes()
+            assert soft_threshold(v, tau[k]).values.tobytes() == shrunk[k].tobytes()
+            out, blind, noise = denoise_blind(v)
+            assert noise.value == n0_hat[k]
+            assert out.values.tobytes() == denoised[k].tobytes()
+            if noise.value > 0.0:
+                assert (blind.tau_star, blind.sure_at_tau) == reference_search(rs, noise.value)
+                assert denoised[k].tobytes() == reference_soft(row, blind.tau_star).tobytes()
+            else:
+                assert denoised[k].tobytes() == row.tobytes()
+
+    def test_one_noise_power_for_all_rows(self):
+        y = sure_rows_data(7, 5, 64, "tied")
+        tau, sure = search_rows(y, 0.8)
+        for k, row in enumerate(y):
+            assert (tau[k], sure[k]) == reference_search(np.sort(np.sqrt(abs_squared(row))), 0.8)
