@@ -175,7 +175,7 @@ def em_fit_rows(z, init, snr_from_total_power: bool = False) -> list:
     rows, d = z.shape
     sum_z = z.sum(axis=-1).tolist()
     floors = [_floor(total / d) for total in sum_z]
-    p, s1, s2 = (col.tolist() for col in init.T)
+    p, s1, s2 = w.tolist(), v1.tolist(), v2.tolist()
     trace = [[] for _ in range(rows)]
     iterations = [0] * rows
     converged = [False] * rows
