@@ -156,5 +156,6 @@ def median_from_sorted(sorted_x: np.ndarray):
         raise ValueError("cannot take the median of an empty array")
     lo = (d + 1) // 2
     hi = d // 2 + 1
-    med = 0.5 * (sorted_x[..., lo - 1] + sorted_x[..., hi - 1])
-    return float(med) if sorted_x.ndim == 1 else med
+    if sorted_x.ndim == 1:
+        return 0.5 * (float(sorted_x[lo - 1]) + float(sorted_x[hi - 1]))
+    return 0.5 * (sorted_x[..., lo - 1] + sorted_x[..., hi - 1])
