@@ -3,9 +3,10 @@
 The CSV bytes for a fixed config and seed are the behaviour contract, so a
 refactor that keeps them keeps the experiments. The channel configs use
 several users, several paths and two SNR points, so a change in how a
-trial is drawn or in which variant sees which draw shows up here. Three
+trial is drawn or in which variant sees which draw shows up here. Six
 more cases sit at the edges of the row-batched kernels: one-row channel
-blocks, D = 2, and a one-trial EM block of odd length.
+blocks, D = 2, a one-trial EM block of odd length, an estimator block
+boundary inside a model point, dims 1 and 2, and family subsets.
 
 An intended change to the output bumps ``experiment_version`` and
 re-records the files:
@@ -46,6 +47,16 @@ GOLDEN = {
                          "--seed", "9"],
     "sweep-snr-one-trial": ["sweep-snr", "--trials", "1", "--dim", "3",
                             "--p", "0.5", "--snr-db=-10,20", "--seed", "9"],
+    # estimator block edges: a 2^18-entry block boundary inside an SNR
+    # point, dims 1 and 2 without EM, and a p grid without genie
+    "sweep-snr-block-edge": ["sweep-snr", "--trials", "9", "--dim", "16384",
+                             "--snr-db=0,10", "--seed", "9"],
+    "sweep-dim-small": ["sweep-dim", "--trials", "3", "--dim", "1,2,7",
+                        "--snr-db", "0", "--estimators", "blind,genie",
+                        "--seed", "2"],
+    "sweep-p-blind-em": ["sweep-p", "--trials", "4", "--dim", "16",
+                         "--p", "0.05,0.5,1.0", "--snr-db", "10",
+                         "--estimators", "blind,em", "--seed", "10"],
 }
 
 
