@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import VARIANTS, ChannelConfig, ber_by_variant, mse_by_variant
-from .core import BcgParams, RngStream, abs_squared, add, sample_bcg, sample_noise
+from .core import BcgParams, RngStream, bcg_rows, draw_trials
 from .em import em_fit_rows, em_init_rows
-from .estimators import genie_estimates
-from .sure import DenoiserFunction, blind_report, search_rows
+from .estimators import genie_rows
+from .sure import blind_rows, search_rows
 from .theory import theorem1_bounds
 
 EXPERIMENTS = ("sweep_snr", "sweep_p", "sweep_dim", "bounds_grid",
@@ -86,6 +86,13 @@ class SweepConfig:
             raise ConfigError("sweep_p needs a comma list of p values (--p)")
         if self.experiment == "sweep_dim" and not self.dim_points:
             raise ConfigError("sweep_dim needs a comma list of dims (--dim)")
+        dims = self.dim_points if self.experiment == "sweep_dim" else (self.dim,)
+        if min(dims) < 1:
+            raise ConfigError(f"dim={min(dims)} must be positive")
+        if (self.experiment in ("sweep_snr", "sweep_p", "sweep_dim")
+                and "em" in self.estimators and min(dims) < 2):
+            raise ConfigError("the em family needs dim >= 2; at dim 1 use "
+                              "--estimators blind,genie")
 
 
 def _fmt(value) -> str:
@@ -120,108 +127,109 @@ def _row(cfg: SweepConfig, snr_db, p, dim, trials, family, quantity,
     }
 
 
-def _stats(values) -> tuple:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
+def _stats(table: np.ndarray):
+    """Mean and sample standard deviation (0 for one trial) of each row of
+    a table of per-trial values, as arrays.
+
+    A row whose largest magnitude exceeds 2^400 is scaled by an exact power
+    of two first, so its squared deviations cannot overflow; the scaling is
+    undone exactly. Other rows keep the plain numpy arithmetic.
+    """
+    peak = np.abs(table).max(axis=-1)
+    big = (peak > 2.0 ** 400) & (peak < math.inf)
+    shift = np.zeros(peak.shape, dtype=int)
+    shift[big] = np.frexp(peak[big])[1]
+    scaled = np.ldexp(table, -shift[..., None])
+    mean = np.ldexp(scaled.mean(axis=-1), shift)
+    if table.shape[-1] < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.ldexp(scaled.std(axis=-1, ddof=1), shift)
 
 
-# Entries per EM block in the estimator sweeps: one block holds every
-# trial of a usual SNR point, and the block's temporaries stay a few MB
-# however many trials are asked for.
-_EM_BLOCK_ENTRIES = 1 << 18
+# Entries (model points x trials x dim) per block of the estimator sweeps:
+# one block holds every trial of a usual sweep, and the block's temporaries
+# stay a few MB however many trials are asked for.
+_BLOCK_ENTRIES = 1 << 18
+_QUANTITIES = ("n0", "es", "snr", "mse")
 
 
-def _em_block(e: dict, ys: np.ndarray) -> None:
-    """Append the EM family's quantities for a (trials, dim) block."""
-    z = abs_squared(ys)
+def _em_columns(y: np.ndarray, z: np.ndarray) -> tuple:
+    """The EM family's per-row quantities for observation rows y, z = |y|^2."""
     fits = em_fit_rows(z, em_init_rows(z))
     n0 = [fit.n0_em for fit in fits]
-    _, sure = search_rows(ys, n0)
-    e["n0"].extend(n0)
-    e["es"].extend(fit.params.weight_active * (fit.params.var_large - fit.params.var_small)
-                   for fit in fits)
-    e["snr"].extend(fit.snr_em for fit in fits)
-    e["mse"].extend(max(value, 0.0) for value in sure.tolist())
+    _, sure = search_rows(y, n0)
+    es = [fit.params.weight_active * (fit.params.var_large - fit.params.var_small)
+          for fit in fits]
+    return n0, es, [fit.snr_em for fit in fits], np.maximum(sure, 0.0)
 
 
-def _point_trials(cfg: SweepConfig, params: BcgParams):
-    """Blind / EM / genie per-trial quantities at one model point.
+def _trial_table(cfg: SweepConfig, points: list, families: tuple) -> np.ndarray:
+    """Per-trial estimates at model points of one dim, as a
+    (points, families, quantities, trials) array.
 
-    The EM family runs on blocks of consecutive trials' observations.
+    Each block of trials is drawn once, and every point scales the same
+    draws; the blind kernel, the genie sums and the EM fit then each run
+    once per block on the stacked (points x trials, dim) observation rows.
     """
-    out = {f: {q: [] for q in ("n0", "es", "snr", "mse")}
-           for f in ESTIMATOR_FAMILIES}
-    want_em = "em" in cfg.estimators
-    want_genie = "genie" in cfg.estimators
-    block = max(1, _EM_BLOCK_ENTRIES // params.dim)
-    ys = []
-    for t in range(cfg.trials):
-        st = RngStream(cfg.seed, stream_id=t)
-        s = sample_bcg(params, st)
-        n = sample_noise(params.noise_power, params.dim, st)
-        y = add(s, n)
-        rep = blind_report(y)
-        b = out["blind"]
-        b["n0"].append(rep.noise.value)
-        b["es"].append(rep.signal.value)
-        b["snr"].append(rep.snr.value)
-        b["mse"].append(rep.mse.value)
-        if want_em:
-            ys.append(y.values)
-            if len(ys) == block or t == cfg.trials - 1:
-                _em_block(out["em"], np.array(ys))
-                ys = []
-        if want_genie:
-            rep_f = DenoiserFunction.soft(rep.search.tau_star)
-            gen = genie_estimates(s, n, y, rep_f)
-            gq = out["genie"]
-            gq["n0"].append(gen.n0_bar)
-            gq["es"].append(gen.es_bar)
-            gq["snr"].append(gen.snr_bar)
-            gq["mse"].append(gen.e0_bar)
-    return out
+    dim = points[0].dim
+    table = np.empty((len(points), len(families), len(_QUANTITIES), cfg.trials))
+    block = max(1, _BLOCK_ENTRIES // (len(points) * dim))
+    for start in range(0, cfg.trials, block):
+        trials = range(start, min(start + block, cfg.trials))
+        draws = draw_trials(cfg.seed, trials, dim)
+        s, n = (np.concatenate(rows)
+                for rows in zip(*(bcg_rows(params, draws) for params in points)))
+        y = s + n
+        blind = blind_rows(y)
+        found = {"blind": (blind.n0, np.maximum(blind.signal, 0.0),
+                           np.maximum(blind.snr, 0.0), np.maximum(blind.mse, 0.0))}
+        if "em" in families:
+            found["em"] = _em_columns(y, blind.z)
+        if "genie" in families:
+            es, n0, snr, e0 = genie_rows(s, n, blind.shrunk)
+            found["genie"] = (n0, es, snr, e0)
+        for f, family in enumerate(families):
+            columns = np.reshape(found[family], (len(_QUANTITIES), len(points), -1))
+            table[:, f, :, start:trials.stop] = columns.transpose(1, 0, 2)
+    return table
 
 
-def _estimator_rows(cfg: SweepConfig, snr_db: float, p: float, dim: int) -> list:
+def _model_point(cfg: SweepConfig, snr_db: float, p: float, dim: int) -> BcgParams:
     snr = 10.0 ** (snr_db / 10.0)
-    params = BcgParams(dim=dim, activity_rate=p,
-                       active_power=snr * cfg.n0 / p, noise_power=cfg.n0)
-    samples = _point_trials(cfg, params)
-    truths = {"n0": params.noise_power, "es": params.signal_power,
-              "snr": params.snr, "mse": None}
+    return BcgParams(dim=dim, activity_rate=p, active_power=snr * cfg.n0 / p,
+                     noise_power=cfg.n0)
+
+
+def _estimator_rows(cfg: SweepConfig, dim: int, points: list) -> list:
+    """Rows of every estimator family at the (snr_db, p) points of one dim."""
+    families = tuple(f for f in ESTIMATOR_FAMILIES if f in cfg.estimators)
+    params = [_model_point(cfg, snr_db, p, dim) for snr_db, p in points]
+    mean, std = _stats(_trial_table(cfg, params, families))
+    extra = {"degenerate_stddev": True} if cfg.trials == 1 else {}
     rows = []
-    for family in ESTIMATOR_FAMILIES:
-        if family not in cfg.estimators:
-            continue
-        for quantity in ("n0", "es", "snr", "mse"):
-            mean, std = _stats(samples[family][quantity])
-            extra = {}
-            if cfg.trials == 1:
-                extra["degenerate_stddev"] = True
-            rows.append(_row(cfg, snr_db, p, dim, cfg.trials, family,
-                             quantity, mean, std, truths[quantity], extra))
+    for (snr_db, p), prm, means, stds in zip(points, params, mean.tolist(), std.tolist()):
+        truths = (prm.noise_power, prm.signal_power, prm.snr, None)
+        for family, family_means, family_stds in zip(families, means, stds):
+            for quantity, truth, m, sd in zip(_QUANTITIES, truths, family_means,
+                                              family_stds):
+                rows.append(_row(cfg, snr_db, p, dim, cfg.trials, family,
+                                 quantity, m, sd, truth, extra))
     return rows
 
 
 def run_sweep_snr(cfg: SweepConfig) -> list:
     """Estimator accuracy vs SNR at fixed (p, dim, n0)."""
-    rows = []
-    for snr_db in cfg.snr_points_db:
-        rows.extend(_estimator_rows(cfg, float(snr_db), cfg.activity_rate, cfg.dim))
-    return rows
+    return _estimator_rows(cfg, cfg.dim, [(float(snr_db), cfg.activity_rate)
+                                          for snr_db in cfg.snr_points_db])
 
 
 def run_sweep_p(cfg: SweepConfig) -> list:
     """Estimator accuracy vs activity rate at the first configured SNR."""
-    snr_db = float(cfg.snr_points_db[0])
-    rows = []
     for p in cfg.p_points:
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"p={p} outside (0, 1]")
-        rows.extend(_estimator_rows(cfg, snr_db, float(p), cfg.dim))
-    return rows
+    snr_db = float(cfg.snr_points_db[0])
+    return _estimator_rows(cfg, cfg.dim, [(snr_db, float(p)) for p in cfg.p_points])
 
 
 def run_sweep_dim(cfg: SweepConfig) -> list:
@@ -229,48 +237,38 @@ def run_sweep_dim(cfg: SweepConfig) -> list:
     snr_db = float(cfg.snr_points_db[0])
     rows = []
     for dim in cfg.dim_points:
-        if dim < 1:
-            raise ConfigError(f"dim={dim} must be positive")
-        rows.extend(_estimator_rows(cfg, snr_db, cfg.activity_rate, int(dim)))
+        rows.extend(_estimator_rows(cfg, int(dim), [(snr_db, cfg.activity_rate)]))
     return rows
 
 
 def run_bounds_grid(cfg: SweepConfig) -> list:
     """Exact power median, its noise-power certificate, and the empirical
     blind estimate on a (p, SNR) grid."""
-    p_points = cfg.p_points or (cfg.activity_rate,)
+    points = [(snr_db, p) for p in cfg.p_points or (cfg.activity_rate,)
+              for snr_db in cfg.snr_points_db]
+    params = [_model_point(cfg, float(snr_db), float(p), cfg.dim) for snr_db, p in points]
+    n0_hat = _trial_table(cfg, params, ("blind",))[:, 0, 0]
     rows = []
-    for p in p_points:
-        for snr_db in cfg.snr_points_db:
-            snr = 10.0 ** (float(snr_db) / 10.0)
-            params = BcgParams(dim=cfg.dim, activity_rate=float(p),
-                               active_power=snr * cfg.n0 / float(p),
-                               noise_power=cfg.n0)
-            chk = theorem1_bounds(params)
-            ok = chk.condition_p_ok
-            violation = bool(ok and not
-                             (chk.lower_bound_n0 - 1e-10 <= cfg.n0
-                              <= chk.upper_bound_n0 + 1e-10))
-            flags = {"condition_p_ok": ok, "violation": violation}
-            n0_hats = []
-            for t in range(cfg.trials):
-                st = RngStream(cfg.seed, stream_id=t)
-                y = add(sample_bcg(params, st),
-                        sample_noise(cfg.n0, cfg.dim, st))
-                n0_hats.append(blind_report(y).noise.value)
-            mean_hat, std_hat = _stats(n0_hats)
-            rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                             "median_exact", chk.median_exact, 0.0, None, flags))
-            rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                             "lower_bound_n0",
-                             chk.lower_bound_n0 if ok else None, 0.0,
-                             cfg.n0, flags))
-            rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                             "upper_bound_n0",
-                             chk.upper_bound_n0 if ok else None, 0.0,
-                             cfg.n0, flags))
-            rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                             "n0_hat_mean", mean_hat, std_hat, cfg.n0, flags))
+    for (snr_db, p), prm, mean_hat, std_hat in zip(points, params,
+                                                    *(a.tolist() for a in _stats(n0_hat))):
+        chk = theorem1_bounds(prm)
+        ok = chk.condition_p_ok
+        violation = bool(ok and not
+                         (chk.lower_bound_n0 - 1e-10 <= cfg.n0
+                          <= chk.upper_bound_n0 + 1e-10))
+        flags = {"condition_p_ok": ok, "violation": violation}
+        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
+                         "median_exact", chk.median_exact, 0.0, None, flags))
+        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
+                         "lower_bound_n0",
+                         chk.lower_bound_n0 if ok else None, 0.0,
+                         cfg.n0, flags))
+        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
+                         "upper_bound_n0",
+                         chk.upper_bound_n0 if ok else None, 0.0,
+                         cfg.n0, flags))
+        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
+                         "n0_hat_mean", mean_hat, std_hat, cfg.n0, flags))
     return rows
 
 

@@ -203,6 +203,43 @@ def sample_noise(n0: float, dim: int, rng: RngStream) -> ComplexVector:
     return ComplexVector(scale * g.standard_normal(dim), scale * g.standard_normal(dim))
 
 
+def draw_trials(seed: int, trials: range, dim: int) -> np.ndarray:
+    """The draws :func:`sample_bcg` then :func:`sample_noise` make on each
+    trial's stream ``RngStream(seed, stream_id=t)``, into preallocated rows.
+
+    Returns a (5, len(trials), dim) array: the activity uniforms, the
+    signal's real and imaginary normals and the noise's real and imaginary
+    normals, drawn in that order. None of them depends on the model, so
+    one set serves every model point of that dim (see :func:`bcg_rows`).
+    """
+    draws = np.empty((5, len(trials), dim))
+    for row, t in enumerate(trials):
+        g = RngStream(seed, stream_id=t).gen
+        g.random(out=draws[0, row])
+        for k in range(1, 5):
+            g.standard_normal(out=draws[k, row])
+    return draws
+
+
+def bcg_rows(params: BcgParams, draws: np.ndarray):
+    """Signal and noise rows of one model point from :func:`draw_trials`.
+
+    Returns complex (trials, dim) arrays (s, n); row t is bit for bit what
+    :func:`sample_bcg` and :func:`sample_noise` give on trial t's stream.
+    """
+    uniform, s_re, s_im, n_re, n_im = draws
+    active = uniform < params.activity_rate
+    scale = math.sqrt(params.active_power / 2.0)
+    s = np.empty(uniform.shape, dtype=np.complex128)
+    s.real = np.where(active, scale * s_re, 0.0)
+    s.imag = np.where(active, scale * s_im, 0.0)
+    scale = math.sqrt(params.noise_power / 2.0)
+    n = np.empty_like(s)
+    n.real = scale * n_re
+    n.imag = scale * n_im
+    return s, n
+
+
 def add(a: ComplexVector, b: ComplexVector) -> ComplexVector:
     """Entrywise sum of two vectors of equal length."""
     if a.dim != b.dim:

@@ -104,11 +104,14 @@ def _e_step(z, p, inv1, inv2):
     are (R, 1). gamma is the posterior of the large component, with a
     joint-underflow guard.
     """
-    g1 = inv1 * np.exp(-(z * inv1))
-    g2 = inv2 * np.exp(-(z * inv2))
-    w2 = p * g2
-    w1 = (1.0 - p) * g1
-    den = w1 + w2
+    # a variance floored at 5e-324 has an infinite inverse, so zero samples
+    # give 0 * inf and the densities overflow; ``ok`` maps those samples
+    with np.errstate(invalid="ignore", over="ignore"):
+        g1 = inv1 * np.exp(-(z * inv1))
+        g2 = inv2 * np.exp(-(z * inv2))
+        w2 = p * g2
+        w1 = (1.0 - p) * g1
+        den = w1 + w2
     ok = den > 0
     # if both densities underflow the sample is extreme for either model;
     # hand it to the heavy component

@@ -152,12 +152,23 @@ def genie_estimates(s: ComplexVector, n: ComplexVector, y: ComplexVector,
     """
     if not (s.dim == n.dim == y.dim):
         raise ValueError("dimension mismatch between s, n, y")
-    d = y.dim
-    es_bar = float(abs_squared(s).sum()) / d
-    n0_bar = float(abs_squared(n).sum()) / d
-    if n0_bar <= 0.0:
+    es_bar, n0_bar, snr_bar, e0_bar = genie_rows(
+        s.values, n.values, f.evaluate(y).values)
+    return GenieReport(es_bar=float(es_bar), n0_bar=float(n0_bar),
+                       snr_bar=float(snr_bar), e0_bar=float(e0_bar))
+
+
+def genie_rows(s, n, fy):
+    """Genie sample quantities along the last axis of complex arrays.
+
+    ``s``, ``n`` and the denoised observation ``fy`` are (D,) or (R, D).
+    Returns (es_bar, n0_bar, snr_bar, e0_bar), each one per row; see
+    :func:`genie_estimates`.
+    """
+    d = s.shape[-1]
+    es_bar = abs_squared(s).sum(axis=-1) / d
+    n0_bar = abs_squared(n).sum(axis=-1) / d
+    if (n0_bar <= 0.0).any():
         raise ValueError("genie SNR undefined for an all-zero noise realization")
-    err = f.evaluate(y).values - s.values
-    e0_bar = float((err.real * err.real + err.imag * err.imag).sum()) / d
-    return GenieReport(es_bar=es_bar, n0_bar=n0_bar, snr_bar=es_bar / n0_bar,
-                       e0_bar=e0_bar)
+    e0_bar = abs_squared(fy - s).sum(axis=-1) / d
+    return es_bar, n0_bar, es_bar / n0_bar, e0_bar

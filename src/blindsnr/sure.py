@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,6 @@ from .estimators import (
     NoisePowerEstimate,
     SignalPowerEstimate,
     SnrEstimate,
-    estimate_mse,
-    estimate_signal_power,
-    estimate_snr,
-    noise_power_from_sorted,
 )
 from .selection import median_from_sorted
 
@@ -79,14 +76,21 @@ def _check_n0(n0) -> None:
         raise ValueError("n0 must be positive and finite")
 
 
-def _shrink(values: np.ndarray, r: np.ndarray, tau) -> np.ndarray:
-    """(y/|y|) max(|y| - tau, 0) along the last axis, given r = |y| and tau
-    as a scalar or an (R, 1) column."""
+def _above(r: np.ndarray, tau):
+    """The entries with r > tau, and tau / r on them, for tau a scalar or a
+    column that broadcasts against r."""
     keep = r > tau
     if isinstance(tau, np.ndarray):
         tau = np.broadcast_to(tau, r.shape)[keep]
+    return keep, tau / r[keep]
+
+
+def _shrink(values: np.ndarray, r: np.ndarray, tau) -> np.ndarray:
+    """(y/|y|) max(|y| - tau, 0) along the last axis, given r = |y| and tau
+    as a scalar or an (R, 1) column."""
+    keep, ratio = _above(r, tau)
     scale = np.zeros_like(r)
-    scale[keep] = 1.0 - tau / r[keep]
+    scale[keep] = 1.0 - ratio
     return values * scale
 
 
@@ -256,6 +260,22 @@ def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
                                  n0_used=float(n0), candidates_evaluated=y.dim + 2)
 
 
+def _sort_search(values: np.ndarray):
+    """|y|^2, one sort of it, the median noise estimate and the threshold
+    search at that estimate, along the last axis.
+
+    Returns (z, median_z, n0, tau, sure), the last four scalars for one
+    vector and one per row otherwise. A zero noise estimate searches
+    harmlessly (tau = 0); callers mask those rows.
+    """
+    z = abs_squared(values)
+    zs = np.sort(z, axis=-1)
+    median_z = median_from_sorted(zs)
+    n0 = median_z / LOG2
+    tau, sure = _search_sorted(np.sqrt(zs), n0 if values.ndim == 1 else n0[:, None])
+    return z, median_z, n0, tau, sure
+
+
 def denoise_blind_rows(values):
     """Blind soft-threshold denoising of each row of a complex (R, D) array.
 
@@ -264,12 +284,9 @@ def denoise_blind_rows(values):
     unchanged.
     """
     values = np.asarray(values, dtype=np.complex128)
-    z = abs_squared(values)
-    zs = np.sort(z, axis=-1)
-    n0 = median_from_sorted(zs)[:, None] / LOG2
-    tau, _ = _search_sorted(np.sqrt(zs), n0)
+    z, _, n0, tau, _ = _sort_search(values)
     denoised = _shrink(values, np.sqrt(z), tau[:, None])
-    return np.where(n0 > 0.0, denoised, values), n0[:, 0]
+    return np.where(n0[:, None] > 0.0, denoised, values), n0
 
 
 def denoise_blind(y: ComplexVector):
@@ -284,19 +301,79 @@ def denoise_blind(y: ComplexVector):
     no usable noise information, so the input is returned unchanged with
     tau = 0.
     """
-    z = abs_squared(y)
-    zs = np.sort(z)
-    noise = noise_power_from_sorted(zs)
+    z, median_z, n0, tau, sure = _sort_search(y.values)
+    noise = NoisePowerEstimate(value=n0, median_z=median_z)
     if noise.value <= 0.0:
         degenerate = ThresholdSearchResult(tau_star=0.0, sure_at_tau=0.0,
                                            n0_used=0.0, candidates_evaluated=0)
         return y, degenerate, noise
-    tau, sure = _search_sorted(np.sqrt(zs), noise.value)
     search = ThresholdSearchResult(tau_star=float(tau), sure_at_tau=float(sure),
                                    n0_used=noise.value,
                                    candidates_evaluated=y.dim + 2)
-    out = _shrink(y.values, np.sqrt(z), tau)
+    out = _shrink(y.values, np.sqrt(z), float(tau))
     return ComplexVector(out.real, out.imag), search, noise
+
+
+class BlindRows(NamedTuple):
+    """The blind pipeline's outputs, one per row (scalars for one vector).
+
+    ``shrunk`` is the soft threshold of the input at ``tau``. Where the
+    noise estimate ``n0`` is zero, ``tau``, ``sure``, ``snr``, ``mse`` and
+    ``divergence_sum`` are 0; ``signal``, ``snr`` and ``mse`` are the
+    pre-clip values.
+    """
+
+    z: np.ndarray
+    median_z: np.ndarray
+    n0: np.ndarray
+    tau: np.ndarray
+    sure: np.ndarray
+    shrunk: np.ndarray
+    signal: np.ndarray
+    snr: np.ndarray
+    mse: np.ndarray
+    divergence_sum: np.ndarray
+
+
+def _pick(cond, a, b):
+    """np.where for one scalar condition."""
+    return a if cond else b
+
+
+def blind_rows(values) -> BlindRows:
+    """The blind pipeline on each row of a complex (R, D) array, or on one
+    (D,) vector.
+
+    One |y|^2 and one sort serve the median noise estimate, the threshold
+    search and the soft threshold, and the signal power, SNR and risk
+    estimate are sums over that same |y|^2 and the shrunk rows. Each value
+    is bit for bit what :func:`blind_report` gives for that row alone.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    d = values.shape[-1]
+    z, median_z, n0, tau, sure = _sort_search(values)
+    # a zero noise estimate (at least half the entries zero) gets no
+    # threshold, SNR or risk; one vector masks in scalar arithmetic
+    pos = n0 > 0.0
+    where = np.where if values.ndim > 1 else _pick
+    tau = where(pos, tau, 0.0)
+    r = np.sqrt(z)
+    keep, ratio = _above(r, tau if values.ndim == 1 else tau[:, None])
+    scale = np.zeros_like(r)
+    scale[keep] = 1.0 - ratio
+    shrunk = values * scale
+    # the soft threshold's divergence: 2 - tau/|y_d| above tau, 0 below
+    div = np.zeros_like(r)
+    div[keep] = 2.0 - ratio
+    div_sum = div.sum(axis=-1)
+    ey = z.sum(axis=-1) / d
+    resid = abs_squared(shrunk - values).sum(axis=-1) / d
+    safe = where(pos, n0, 1.0)
+    return BlindRows(
+        z=z, median_z=median_z, n0=n0, tau=tau, sure=where(pos, sure, 0.0),
+        shrunk=shrunk, signal=ey - n0, snr=where(pos, ey / safe - 1.0, 0.0),
+        mse=where(pos, resid - n0 + n0 * div_sum / d, 0.0),
+        divergence_sum=where(pos, div_sum, 0.0))
 
 
 @dataclass(frozen=True)
@@ -315,15 +392,24 @@ def blind_report(y: ComplexVector) -> EstimateReport:
     """Run the full blind pipeline on one observation (single sort).
 
     The MSE estimate uses the adaptively selected threshold; the SNR and
-    signal power chain on the clipped noise estimate.
+    signal power chain on the clipped noise estimate. A one-row call into
+    :func:`blind_rows`.
     """
-    denoised, search, noise = denoise_blind(y)
-    signal = estimate_signal_power(y, noise.value)
-    if noise.value > 0.0:
-        snr = estimate_snr(y, noise.value)
-        mse = estimate_mse(y, DenoiserFunction.soft(search.tau_star), noise.value)
+    b = blind_rows(y.values)
+    n0 = b.n0
+    noise = NoisePowerEstimate(value=n0, median_z=b.median_z)
+    signal, snr, mse = float(b.signal), float(b.snr), float(b.mse)
+    if n0 > 0.0:
+        search = ThresholdSearchResult(tau_star=float(b.tau), sure_at_tau=float(b.sure),
+                                       n0_used=n0, candidates_evaluated=y.dim + 2)
+        denoised = ComplexVector(b.shrunk.real, b.shrunk.imag)
     else:
-        snr = SnrEstimate(value=0.0, raw=0.0)
-        mse = MseEstimate(value=0.0, raw_sure=0.0, divergence_sum=0.0)
-    return EstimateReport(noise=noise, signal=signal, snr=snr, mse=mse,
-                          search=search, denoised=denoised)
+        search = ThresholdSearchResult(tau_star=0.0, sure_at_tau=0.0,
+                                       n0_used=0.0, candidates_evaluated=0)
+        denoised = y
+    return EstimateReport(
+        noise=noise, signal=SignalPowerEstimate(value=max(signal, 0.0), raw=signal),
+        snr=SnrEstimate(value=max(snr, 0.0), raw=snr),
+        mse=MseEstimate(value=max(mse, 0.0), raw_sure=mse,
+                        divergence_sum=float(b.divergence_sum)),
+        search=search, denoised=denoised)
