@@ -21,9 +21,11 @@ median-based noise estimate, so a single sort serves both jobs.
 
 The kernels work along the last axis, on one vector or on an (R, D)
 block of rows with one noise power or threshold per row:
-:func:`search_rows`, :func:`soft_threshold_rows` and
-:func:`denoise_blind_rows`. The per-vector functions are one-row calls
-into the same kernels.
+:func:`search_rows`, :func:`soft_threshold_rows`,
+:func:`denoise_blind_rows` and :func:`blind_rows`, the whole blind
+pipeline (noise, signal power, SNR and risk estimate from one |y|^2 and
+one sort). The per-vector functions are one-row calls into the same
+kernels.
 """
 
 from __future__ import annotations
@@ -295,23 +297,14 @@ def denoise_blind(y: ComplexVector):
     A single sort of |y|^2 yields the median-based noise power estimate
     and (after a square root) the sorted magnitudes for the threshold
     search. Returns (denoised vector, search result, noise estimate),
-    mutually consistent.
+    mutually consistent; they are those of :func:`blind_report`.
 
     A zero noise estimate (at least half the entries exactly zero) carries
     no usable noise information, so the input is returned unchanged with
     tau = 0.
     """
-    z, median_z, n0, tau, sure = _sort_search(y.values)
-    noise = NoisePowerEstimate(value=n0, median_z=median_z)
-    if noise.value <= 0.0:
-        degenerate = ThresholdSearchResult(tau_star=0.0, sure_at_tau=0.0,
-                                           n0_used=0.0, candidates_evaluated=0)
-        return y, degenerate, noise
-    search = ThresholdSearchResult(tau_star=float(tau), sure_at_tau=float(sure),
-                                   n0_used=noise.value,
-                                   candidates_evaluated=y.dim + 2)
-    out = _shrink(y.values, np.sqrt(z), float(tau))
-    return ComplexVector(out.real, out.imag), search, noise
+    rep = blind_report(y)
+    return rep.denoised, rep.search, rep.noise
 
 
 class BlindRows(NamedTuple):

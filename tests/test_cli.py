@@ -2,11 +2,21 @@
 
 import csv
 import json
+import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blindsnr import RngStream, abs_squared, add, sample_bcg, sample_noise
+from blindsnr import cli
 from blindsnr.cli import CSV_COLUMNS, ConfigError, SweepConfig, main, run_sweep_snr
+from blindsnr.em import em_fit_rows, em_init_rows
+from blindsnr.sure import search_rows
+
+from conftest import reference_blind, reference_genie
 
 
 def read_rows(path):
@@ -174,6 +184,23 @@ class TestConfigAndExitCodes:
         assert doc["all_passed"] is True
         assert all(a["passed"] for a in doc["assertions"])
 
+    def test_em_family_needs_dim_two(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert main(["sweep-snr", "--trials", "10", "--dim", "1", "--p", "1.0",
+                     "--snr-db=0,10", "--seed", "2", "--out", out]) == 2
+        assert "em family needs dim >= 2" in capsys.readouterr().err
+        assert main(["sweep-dim", "--trials", "3", "--dim", "4,1", "--snr-db", "0",
+                     "--out", out]) == 2
+        assert main(["sweep-p", "--trials", "3", "--dim", "1", "--p", "0.5",
+                     "--estimators", "em", "--out", out]) == 2
+        assert main(["sweep-dim", "--trials", "3", "--dim", "4,0", "--snr-db", "0",
+                     "--estimators", "blind", "--out", out]) == 2
+        # without the em family dim 1 is a valid sweep
+        assert main(["sweep-snr", "--trials", "3", "--dim", "1", "--snr-db", "0",
+                     "--estimators", "blind,genie", "--out", out]) == 0
+        assert main(["sweep-dim", "--trials", "3", "--dim", "1,2", "--snr-db", "0",
+                     "--estimators", "blind,genie", "--out", out]) == 0
+
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError):
             SweepConfig(experiment="nope")
@@ -207,3 +234,100 @@ class TestOtherSweeps:
         rows = run_sweep_snr(cfg)
         assert len(rows) == 4
         assert all(r["family"] == "blind" for r in rows)
+
+
+class TestStats:
+    def test_plain_rows_use_numpy_arithmetic(self):
+        scales = [[1e-300], [1.0], [3e5], [1e100]]
+        table = np.random.default_rng(4).standard_normal((4, 11)) * scales
+        mean, std = cli._stats(table)
+        for k, row in enumerate(table):
+            assert (mean[k], std[k]) == (row.mean(), row.std(ddof=1))
+
+    def test_huge_rows_are_rescaled_exactly(self):
+        table = np.array([[1e300, 2e300, 4e300], [1.7e308, -1.7e308, 1.0e308],
+                          [2.0 ** 401, 0.0, -(2.0 ** 401)]])
+        mean, std = cli._stats(table)
+        assert np.isfinite(mean).all() and np.isfinite(std).all()
+        for k, row in enumerate(table):
+            # the power-of-two scaling is exact, so numpy on the scaled row
+            # gives the same bits; statistics works in exact fractions
+            shift = np.frexp(np.abs(row).max())[1]
+            scaled = np.ldexp(row, -shift)
+            assert mean[k] == np.ldexp(scaled.mean(), shift)
+            assert std[k] == np.ldexp(scaled.std(ddof=1), shift)
+            assert std[k] == pytest.approx(statistics.stdev(row.tolist()), rel=1e-14)
+
+    def test_one_trial_has_zero_stddev(self):
+        mean, std = cli._stats(np.array([[3.0], [1e305]]))
+        assert mean.tolist() == [3.0, 1e305] and std.tolist() == [0.0, 0.0]
+
+    def test_huge_noise_power_gives_finite_stddev(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep-snr", "--trials", "3", "--dim", "8", "--n0", "1e300",
+                     "--snr-db=0", "--summary", "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert all(np.isfinite(float(r["stddev"])) for r in rows)
+        assert all(float(r["stddev"]) > 0.0 for r in rows if r["quantity"] == "n0")
+
+
+# --- row-batched sweeps against the per-trial loop they replaced -----------
+
+def reference_point_trials(seed, trials, params, families):
+    """One model point one trial at a time, as the sweeps once ran:
+    {family: {quantity: [value per trial]}}."""
+    out = {f: {q: [] for q in cli._QUANTITIES} for f in families}
+    ys = []
+    for t in range(trials):
+        stream = RngStream(seed, stream_id=t)
+        s = sample_bcg(params, stream)
+        n = sample_noise(params.noise_power, params.dim, stream)
+        y = add(s, n)
+        noise, signal, snr, mse, search, _ = reference_blind(y)
+        for q, v in zip(cli._QUANTITIES, (noise.value, signal.value, snr.value, mse.value)):
+            out["blind"][q].append(v)
+        if "genie" in families:
+            es, n0, snr_bar, e0 = reference_genie(s, n, y, search.tau_star)
+            for q, v in zip(cli._QUANTITIES, (n0, es, snr_bar, e0)):
+                out["genie"][q].append(v)
+        ys.append(y.values)
+    if "em" in families:
+        ys = np.array(ys)
+        z = abs_squared(ys)
+        fits = em_fit_rows(z, em_init_rows(z))
+        n0 = [fit.n0_em for fit in fits]
+        _, sure = search_rows(ys, n0)
+        em = out["em"]
+        em["n0"] = n0
+        em["es"] = [f.params.weight_active * (f.params.var_large - f.params.var_small)
+                    for f in fits]
+        em["snr"] = [f.snr_em for f in fits]
+        em["mse"] = [max(v, 0.0) for v in sure.tolist()]
+    return out
+
+
+class TestTrialTableMatchesPerTrialLoop:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 9),
+           dim=st.integers(1, 130), n0=st.sampled_from([1e-200, 1e-3, 1.0, 2.5, 1e150]),
+           points=st.lists(st.tuples(st.floats(-20.0, 40.0),
+                                     st.sampled_from([0.01, 0.1, 0.5, 1.0])),
+                           min_size=1, max_size=4),
+           families=st.sampled_from([("blind",), ("blind", "em", "genie"),
+                                     ("blind", "genie"), ("blind", "em")]),
+           block_entries=st.sampled_from([None, 1, 64, 300]))
+    def test_bit_identical(self, seed, trials, dim, n0, points, families, block_entries):
+        if dim < 2:
+            families = tuple(f for f in families if f != "em")
+        cfg = SweepConfig(experiment="sweep_snr", trials=trials, dim=dim, n0=n0,
+                          seed=seed, estimators=families)
+        params = [cli._model_point(cfg, snr_db, p, dim) for snr_db, p in points]
+        entries = cli._BLOCK_ENTRIES if block_entries is None else block_entries
+        with mock.patch.object(cli, "_BLOCK_ENTRIES", entries):  # split into blocks
+            table = cli._trial_table(cfg, params, families)
+        assert table.shape == (len(points), len(families), 4, trials)
+        for i, prm in enumerate(params):
+            ref = reference_point_trials(seed, trials, prm, families)
+            for f, family in enumerate(families):
+                for q, quantity in enumerate(cli._QUANTITIES):
+                    assert table[i, f, q].tolist() == ref[family][quantity], (family, quantity)

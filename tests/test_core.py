@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsnr import (
     LOG2,
@@ -17,9 +19,10 @@ from blindsnr import (
     sample_median,
     sample_noise,
 )
+from blindsnr.core import bcg_rows, draw_trials
 from blindsnr.theory import power_cdf
 
-from conftest import bcg_params, empirical_cdf_at
+from conftest import bcg_params, draw_observation, empirical_cdf_at
 
 
 class TestComplexVector:
@@ -136,6 +139,26 @@ def _draw(params, seed):
     s = sample_bcg(params, st)
     n = sample_noise(params.noise_power, params.dim, st)
     return s, n, add(s, n)
+
+
+class TestTrialRows:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 50),
+           trials=st.integers(1, 9), dim=st.integers(1, 130),
+           points=st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(-30.0, 40.0),
+                                     st.floats(1e-6, 1e6)), min_size=1, max_size=4))
+    def test_rows_equal_per_trial_sampling(self, seed, start, trials, dim, points):
+        # one set of draws serves every model point, each bit for bit
+        trial_ids = range(start, start + trials)
+        draws = draw_trials(seed, trial_ids, dim)
+        assert draws.shape == (5, trials, dim)
+        for p, snr_db, n0 in points:
+            params = bcg_params(dim, p, 10.0 ** (snr_db / 10.0), n0)
+            s, n = bcg_rows(params, draws)
+            for row, t in enumerate(trial_ids):
+                s_ref, n_ref, _ = draw_observation(params, seed, t)
+                assert s[row].tobytes() == s_ref.values.tobytes()
+                assert n[row].tobytes() == n_ref.values.tobytes()
 
 
 class TestReproducibility:

@@ -17,10 +17,12 @@ from blindsnr import (
     estimate_snr,
     genie_estimates,
     sample_noise,
+    soft_threshold,
 )
+from blindsnr.estimators import genie_rows
 from blindsnr.theory import exact_power_median, n0_bounds_from_median
 
-from conftest import bcg_params, draw_observation
+from conftest import bcg_params, draw_observation, reference_genie
 
 
 class TestNoisePower:
@@ -194,6 +196,28 @@ class TestGenie:
         b = ComplexVector([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             genie_estimates(a, b, b, DenoiserFunction.identity())
+
+    def test_zero_noise_rejected(self):
+        s, n, y = draw_observation(bcg_params(8, 0.5, 1.0), seed=41, trial=0)
+        zero = ComplexVector(np.zeros(8), np.zeros(8))
+        with pytest.raises(ValueError):
+            genie_estimates(s, zero, s, DenoiserFunction.identity())
+        with pytest.raises(ValueError):
+            genie_rows(np.stack((s.values, s.values)), np.stack((n.values, zero.values)),
+                       np.stack((y.values, y.values)))
+
+    def test_rows_equal_per_vector_sums(self):
+        params = bcg_params(37, 0.2, 3.0)
+        trials = [draw_observation(params, seed=40, trial=t) for t in range(6)]
+        taus = [0.0, 0.5, 1.0, 2.0, 5.0, 100.0]
+        fy = np.stack([soft_threshold(y, tau).values for (_, _, y), tau in zip(trials, taus)])
+        rows = genie_rows(np.stack([s.values for s, _, _ in trials]),
+                          np.stack([n.values for _, n, _ in trials]), fy)
+        for k, ((s, n, y), tau) in enumerate(zip(trials, taus)):
+            ref = reference_genie(s, n, y, tau)
+            assert tuple(a[k] for a in rows) == ref
+            rep = genie_estimates(s, n, y, DenoiserFunction.soft(tau))
+            assert (rep.es_bar, rep.n0_bar, rep.snr_bar, rep.e0_bar) == ref
 
 
 class TestDirectionalBias:

@@ -22,9 +22,9 @@ from blindsnr import (
     soft_threshold,
     sure_of_threshold,
 )
-from blindsnr.sure import denoise_blind_rows, search_rows, soft_threshold_rows
+from blindsnr.sure import blind_rows, denoise_blind_rows, search_rows, soft_threshold_rows
 
-from conftest import bcg_params, draw_observation
+from conftest import bcg_params, draw_observation, reference_blind
 
 
 def grid_sure_min(y, n0, npts=100_000, tau_max=None):
@@ -366,3 +366,46 @@ class TestRowsMatchPerVectorReference:
         tau, sure = search_rows(y, 0.8)
         for k, row in enumerate(y):
             assert (tau[k], sure[k]) == reference_search(np.sort(np.sqrt(abs_squared(row))), 0.8)
+
+
+def assert_blind_matches_reference(y):
+    """blind_rows on the (R, D) block, blind_rows on each row and
+    blind_report each equal the per-vector composition, bit for bit."""
+    rows = blind_rows(y)
+    for k, row in enumerate(y):
+        v = ComplexVector.from_complex(row)
+        noise, signal, snr, mse, search, denoised = reference_blind(v)
+        one = blind_rows(row)
+        for got in (tuple(a[k] for a in rows[1:5]), one[1:5]):
+            assert got == (noise.median_z, noise.value, search.tau_star, search.sure_at_tau)
+        for got in (tuple(a[k] for a in rows[6:]), one[6:]):
+            assert got == (signal.raw, snr.raw, mse.raw_sure, mse.divergence_sum)
+        shrunk = soft_threshold(v, search.tau_star).values.tobytes()
+        assert rows.shrunk[k].tobytes() == one.shrunk.tobytes() == shrunk
+        assert rows.z[k].tobytes() == abs_squared(row).tobytes()
+        rep = blind_report(v)
+        assert (rep.noise, rep.signal, rep.snr, rep.mse, rep.search) == \
+            (noise, signal, snr, mse, search)
+        assert rep.denoised.values.tobytes() == denoised.values.tobytes()
+        if noise.value <= 0.0:
+            assert rep.denoised is v
+
+
+class TestBlindKernelMatchesComposition:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9),
+           dim=st.integers(1, 256),
+           kind=st.sampled_from(["noise", "zero", "tied", "half_zero"]))
+    def test_bit_identical(self, seed, rows, dim, kind):
+        assert_blind_matches_reference(sure_rows_data(seed, rows, dim, kind))
+
+    def test_zero_and_half_zero_rows(self):
+        y = sure_rows_data(3, 4, 10, "noise")
+        y[0] = 0.0           # all zero: n0 = 0
+        y[1, :6] = 1e-170    # more than half underflow |y|^2 to 0: n0 = 0
+        y[2, :5] = 0.0       # exactly half zero at even D: n0 > 0
+        y[3, 1] = 1e-170
+        rows = blind_rows(y)
+        assert rows.n0[:2].tolist() == [0.0, 0.0] and (rows.n0[2:] > 0.0).all()
+        assert rows.tau[:2].tolist() == rows.snr[:2].tolist() == [0.0, 0.0]
+        assert_blind_matches_reference(y)
