@@ -1,6 +1,7 @@
 """Experiment harness: reproducible sweeps written as flat CSV tables.
 
-Each experiment emits long-format rows with a fixed, versioned column set
+Each experiment returns long-format rows, ``Row`` namedtuples with a
+fixed, versioned column set
 
     experiment_version, experiment, snr_db, p, dim, trials,
     family, quantity, mean, stddev, truth, extra
@@ -18,13 +19,23 @@ that dim (each SNR, p and n0) scales the same draws, exactly as if it had
 drawn them from the trial's stream itself, and all points are evaluated
 together on blocks of at most 2^18 entries.
 
-Exit codes: 0 success, 1 I/O error, 2 invalid configuration, 3 summary
-assertion failure (with ``--summary``).
+Every setting is read from one table, ``_SETTINGS``: a ``--config`` file
+holds ``key=value`` lines whose keys are the flag names (``snr_db`` for
+``--snr-db``), flags override the file, and file and flag values go
+through the same parser. ``SweepConfig`` range-checks the values; only
+the channel's shape (antennas, users, paths) is left to ``ChannelConfig``.
+
+Exit codes: 0 success, 1 I/O error writing the CSV or summary, 2 invalid
+configuration (an unreadable config file, an unknown key, or a value that
+does not parse or is out of range), 3 summary assertion failure (with
+``--summary``).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import csv
 import functools
 import json
 import math
@@ -47,6 +58,7 @@ SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("experiment_version", "experiment", "snr_db", "p", "dim",
                "trials", "family", "quantity", "mean", "stddev", "truth",
                "extra")
+Row = collections.namedtuple("Row", CSV_COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -77,12 +89,19 @@ class SweepConfig:
             raise ConfigError("trials must be at least 1")
         if self.dim < 1:
             raise ConfigError("dim must be at least 1")
-        if not 0.0 < self.activity_rate <= 1.0:
-            raise ConfigError("p must lie in (0, 1]")
-        if not self.n0 > 0.0:
-            raise ConfigError("n0 must be positive")
+        for p in (self.activity_rate, *self.p_points):
+            if not 0.0 < p <= 1.0:
+                raise ConfigError(f"p={p} outside (0, 1]")
+        if not 0.0 < self.n0 < math.inf:
+            raise ConfigError("n0 must be positive and finite")
         if len(self.snr_points_db) == 0:
             raise ConfigError("snr-db list must be non-empty")
+        if not all(map(math.isfinite, self.snr_points_db)):
+            raise ConfigError("snr-db points must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if not self.estimators:
+            raise ConfigError("estimators must name at least one family")
         bad = set(self.estimators) - set(ESTIMATOR_FAMILIES)
         if bad:
             raise ConfigError(f"unknown estimator families: {sorted(bad)}")
@@ -99,36 +118,14 @@ class SweepConfig:
                               "--estimators blind,genie")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _extra(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) if obj else ""
 
 
-def _row(cfg: SweepConfig, snr_db, p, dim, trials, family, quantity,
-         mean, stddev, truth, extra=None) -> dict:
-    return {
-        "experiment_version": SCHEMA_VERSION,
-        "experiment": cfg.experiment,
-        "snr_db": snr_db,
-        "p": p,
-        "dim": dim,
-        "trials": trials,
-        "family": family,
-        "quantity": quantity,
-        "mean": mean,
-        "stddev": stddev,
-        "truth": truth,
-        "extra": _extra(extra or {}),
-    }
+def _row(cfg: SweepConfig, snr_db, p, dim, family, quantity, mean, stddev,
+         truth, extra) -> Row:
+    return Row(SCHEMA_VERSION, cfg.experiment, snr_db, p, dim, cfg.trials,
+               family, quantity, mean, stddev, truth, extra)
 
 
 def _stats(table: np.ndarray):
@@ -209,15 +206,15 @@ def _estimator_rows(cfg: SweepConfig, dim: int, points: list) -> list:
     families = tuple(f for f in ESTIMATOR_FAMILIES if f in cfg.estimators)
     params = [_model_point(cfg, snr_db, p, dim) for snr_db, p in points]
     mean, std = _stats(_trial_table(cfg, params, families))
-    extra = {"degenerate_stddev": True} if cfg.trials == 1 else {}
+    extra = _extra({"degenerate_stddev": True} if cfg.trials == 1 else {})
     rows = []
     for (snr_db, p), prm, means, stds in zip(points, params, mean.tolist(), std.tolist()):
         truths = (prm.noise_power, prm.signal_power, prm.snr, None)
         for family, family_means, family_stds in zip(families, means, stds):
             for quantity, truth, m, sd in zip(_QUANTITIES, truths, family_means,
                                               family_stds):
-                rows.append(_row(cfg, snr_db, p, dim, cfg.trials, family,
-                                 quantity, m, sd, truth, extra))
+                rows.append(_row(cfg, snr_db, p, dim, family, quantity, m, sd,
+                                 truth, extra))
     return rows
 
 
@@ -229,9 +226,6 @@ def run_sweep_snr(cfg: SweepConfig) -> list:
 
 def run_sweep_p(cfg: SweepConfig) -> list:
     """Estimator accuracy vs activity rate at the first configured SNR."""
-    for p in cfg.p_points:
-        if not 0.0 < p <= 1.0:
-            raise ConfigError(f"p={p} outside (0, 1]")
     snr_db = float(cfg.snr_points_db[0])
     return _estimator_rows(cfg, cfg.dim, [(snr_db, float(p)) for p in cfg.p_points])
 
@@ -260,19 +254,14 @@ def run_bounds_grid(cfg: SweepConfig) -> list:
         violation = bool(ok and not
                          (chk.lower_bound_n0 - 1e-10 <= cfg.n0
                           <= chk.upper_bound_n0 + 1e-10))
-        flags = {"condition_p_ok": ok, "violation": violation}
-        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                         "median_exact", chk.median_exact, 0.0, None, flags))
-        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                         "lower_bound_n0",
-                         chk.lower_bound_n0 if ok else None, 0.0,
-                         cfg.n0, flags))
-        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                         "upper_bound_n0",
-                         chk.upper_bound_n0 if ok else None, 0.0,
-                         cfg.n0, flags))
-        rows.append(_row(cfg, snr_db, p, cfg.dim, cfg.trials, "bounds",
-                         "n0_hat_mean", mean_hat, std_hat, cfg.n0, flags))
+        extra = _extra({"condition_p_ok": ok, "violation": violation})
+        for quantity, mean, stddev, truth in (
+                ("median_exact", chk.median_exact, 0.0, None),
+                ("lower_bound_n0", chk.lower_bound_n0 if ok else None, 0.0, cfg.n0),
+                ("upper_bound_n0", chk.upper_bound_n0 if ok else None, 0.0, cfg.n0),
+                ("n0_hat_mean", mean_hat, std_hat, cfg.n0)):
+            rows.append(_row(cfg, snr_db, p, cfg.dim, "bounds", quantity, mean,
+                             stddev, truth, extra))
     return rows
 
 
@@ -290,21 +279,20 @@ def run_channel(cfg: SweepConfig) -> list:
             results = mse_by_variant(chan, VARIANTS, float(snr_db), cfg.trials, base)
             for variant, res in results.items():
                 mse = res["channel_mse"]
-                extra = {
+                extra = _extra({
                     "mse_db": 10.0 * math.log10(mse) if mse > 0 else None,
                     "n0": res["n0_true"],
                     "n0_est_mean": res["n0_mean"],
-                }
-                rows.append(_row(cfg, snr_db, None, chan.antennas, cfg.trials,
-                                 variant, "channel_mse", mse, 0.0,
-                                 0.0 if variant == "perfect_csi" else None,
-                                 extra))
+                })
+                rows.append(_row(cfg, snr_db, None, chan.antennas, variant,
+                                 "channel_mse", mse, 0.0,
+                                 0.0 if variant == "perfect_csi" else None, extra))
         else:
             results = ber_by_variant(chan, VARIANTS, float(snr_db), cfg.trials, base)
             for variant, res in results.items():
-                extra = {"bits": res["bits"], "bit_errors": res["bit_errors"]}
-                rows.append(_row(cfg, snr_db, None, chan.antennas, cfg.trials,
-                                 variant, "ber", res["ber"], 0.0, None, extra))
+                extra = _extra({"bits": res["bits"], "bit_errors": res["bit_errors"]})
+                rows.append(_row(cfg, snr_db, None, chan.antennas, variant, "ber",
+                                 res["ber"], 0.0, None, extra))
     return rows
 
 
@@ -320,15 +308,9 @@ _DISPATCH = {
 
 def write_csv(rows: list, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            rendered = []
-            for col in CSV_COLUMNS:
-                cell = _fmt(row[col])
-                if "," in cell or '"' in cell:
-                    cell = '"' + cell.replace('"', '""') + '"'
-                rendered.append(cell)
-            fh.write(",".join(rendered) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
 
 
 def _summary_assertions(cfg: SweepConfig, rows: list) -> list:
@@ -336,42 +318,35 @@ def _summary_assertions(cfg: SweepConfig, rows: list) -> list:
 
     def by(family=None, quantity=None):
         return [r for r in rows
-                if (family is None or r["family"] == family)
-                and (quantity is None or r["quantity"] == quantity)]
+                if (family is None or r.family == family)
+                and (quantity is None or r.quantity == quantity)]
 
     if cfg.experiment in ("sweep_snr", "sweep_p", "sweep_dim"):
-        stds = [r["stddev"] for r in rows]
+        stds = [r.stddev for r in rows]
         checks.append(("stddev_finite", all(math.isfinite(s) and s >= 0 for s in stds)))
-        clipped = [r["mean"] for r in rows if r["family"] in ("blind", "em")]
+        clipped = [r.mean for r in rows if r.family in ("blind", "em")]
         checks.append(("clipped_nonnegative", all(m >= 0 for m in clipped)))
     elif cfg.experiment == "bounds_grid":
-        bad = [r for r in rows if "\"violation\":true" in r["extra"]]
+        bad = [r for r in rows if "\"violation\":true" in r.extra]
         checks.append(("sandwich_holds", not bad))
     elif cfg.experiment == "channel_mse":
         perfect = by("perfect_csi", "channel_mse")
-        checks.append(("perfect_csi_zero", all(r["mean"] == 0.0 for r in perfect)))
-        ml = {r["snr_db"]: r["mean"] for r in by("ml", "channel_mse")}
-        known = {r["snr_db"]: r["mean"] for r in by("beaches_known_n0", "channel_mse")}
+        checks.append(("perfect_csi_zero", all(r.mean == 0.0 for r in perfect)))
+        ml = {r.snr_db: r.mean for r in by("ml", "channel_mse")}
+        known = {r.snr_db: r.mean for r in by("beaches_known_n0", "channel_mse")}
         checks.append(("denoiser_not_worse_than_ml",
                        all(known[s] <= ml[s] * 1.05 for s in known)))
     elif cfg.experiment == "channel_ber":
-        bers = [r["mean"] for r in rows]
+        bers = [r.mean for r in rows]
         checks.append(("ber_in_unit_interval", all(0.0 <= b <= 1.0 for b in bers)))
-        ml = {r["snr_db"]: r["mean"] for r in by("ml", "ber")}
-        perfect = {r["snr_db"]: r["mean"] for r in by("perfect_csi", "ber")}
+        ml = {r.snr_db: r.mean for r in by("ml", "ber")}
+        perfect = {r.snr_db: r.mean for r in by("perfect_csi", "ber")}
         bits = cfg.trials * 4 * cfg.users
         slack = 3.0 * max((math.sqrt(b * (1 - b) / bits) for b in ml.values()),
                           default=0.0) + 5.0 / bits
         checks.append(("perfect_csi_not_worse_than_ml",
                        all(perfect[s] <= ml[s] + slack for s in perfect)))
     return [{"name": name, "passed": bool(ok)} for name, ok in checks]
-
-
-def _parse_number_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
 _SUBCOMMANDS = {
@@ -381,6 +356,35 @@ _SUBCOMMANDS = {
     "bounds": "bounds_grid",
     "channel-mse": "channel_mse",
     "channel-ber": "channel_ber",
+}
+
+
+def _list(item):
+    return lambda text: tuple(item(v.strip()) for v in text.split(","))
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected true or false")
+    return text.lower() in ("1", "true", "yes")
+
+
+# Each setting, keyed by its flag name: the parser of its text, the
+# SweepConfig fields it sets, and its help. A setting with two fields is a
+# list whose first entry also sets the first field.
+_SETTINGS = {
+    "trials": (int, ("trials",), None),
+    "dim": (_list(int), ("dim", "dim_points"), "dimension (comma list for sweep-dim)"),
+    "p": (_list(float), ("activity_rate", "p_points"),
+          "activity rate (comma list for sweep-p/bounds)"),
+    "n0": (float, ("n0",), None),
+    "snr_db": (_list(float), ("snr_points_db",), "comma list of SNR points in dB"),
+    "seed": (int, ("seed",), None),
+    "out": (str, ("output_path",), None),
+    "estimators": (_list(str), ("estimators",), "comma subset of blind,em,genie"),
+    "users": (int, ("users",), None),
+    "paths": (int, ("paths_per_user",), None),
+    "summary": (_bool, ("summary",), "also write <out>.summary.json"),
 }
 
 
@@ -394,8 +398,10 @@ def _read_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                settings[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in _SETTINGS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                settings[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return settings
@@ -410,71 +416,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--trials", type=int)
-        cmd.add_argument("--dim", type=str, help="dimension (comma list for sweep-dim)")
-        cmd.add_argument("--p", type=str, help="activity rate (comma list for sweep-p/bounds)")
-        cmd.add_argument("--n0", type=float)
-        cmd.add_argument("--snr-db", type=str, help="comma list of SNR points in dB")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--out", type=str)
-        cmd.add_argument("--estimators", type=str,
-                         help="comma subset of blind,em,genie")
-        cmd.add_argument("--users", type=int)
-        cmd.add_argument("--paths", type=int)
-        cmd.add_argument("--summary", action="store_true", default=None)
-        cmd.add_argument("--config", type=str)
+        for key, (_, _, help_text) in _SETTINGS.items():
+            flag = "--" + key.replace("_", "-")
+            if key == "summary":
+                cmd.add_argument(flag, action="store_const", const="true", help=help_text)
+            else:
+                cmd.add_argument(flag, help=help_text)
+        cmd.add_argument("--config", help="file of key=value lines; flags override it")
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
-    settings: dict = {}
-    if args.config:
-        settings.update(_read_config_file(args.config))
-    flag_map = {
-        "trials": args.trials, "dim": args.dim, "p": args.p, "n0": args.n0,
-        "snr_db": getattr(args, "snr_db"), "seed": args.seed, "out": args.out,
-        "estimators": args.estimators, "users": args.users,
-        "paths": args.paths, "summary": args.summary,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
-
+    settings = _read_config_file(args.config) if args.config else {}
+    settings.update((key, getattr(args, key)) for key in _SETTINGS
+                    if getattr(args, key) is not None)
     kwargs = {"experiment": _SUBCOMMANDS[args.command]}
-    if kwargs["experiment"].startswith("channel") and "dim" not in settings:
+    if kwargs["experiment"].startswith("channel"):
         kwargs["dim"] = 128  # antenna count; estimator sweeps default to 64
-    try:
-        if "trials" in settings:
-            kwargs["trials"] = int(settings["trials"])
-        if "dim" in settings:
-            dims = _parse_number_list(str(settings["dim"]))
-            kwargs["dim"] = int(dims[0])
-            kwargs["dim_points"] = tuple(int(d) for d in dims)
-        if "p" in settings:
-            ps = _parse_number_list(str(settings["p"]))
-            kwargs["activity_rate"] = ps[0]
-            kwargs["p_points"] = ps
-        if "n0" in settings:
-            kwargs["n0"] = float(settings["n0"])
-        if "snr_db" in settings:
-            kwargs["snr_points_db"] = _parse_number_list(str(settings["snr_db"]))
-        if "seed" in settings:
-            kwargs["seed"] = int(settings["seed"])
-        if "out" in settings:
-            kwargs["output_path"] = str(settings["out"])
-        if "estimators" in settings:
-            kwargs["estimators"] = tuple(
-                e.strip() for e in str(settings["estimators"]).split(",") if e.strip())
-        if "users" in settings:
-            kwargs["users"] = int(settings["users"])
-        if "paths" in settings:
-            kwargs["paths_per_user"] = int(settings["paths"])
-        if "summary" in settings:
-            val = settings["summary"]
-            kwargs["summary"] = val if isinstance(val, bool) else \
-                str(val).lower() in ("1", "true", "yes")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, text in settings.items():
+        parse, fields, _ = _SETTINGS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}={text!r}: {exc}") from exc
+        if len(fields) == 2:
+            kwargs[fields[0]] = value[0]
+        kwargs[fields[-1]] = value
     return SweepConfig(**kwargs)
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import LOG2, ComplexVector, OpCounter, abs_squared
+from .core import LOG2, ComplexVector, abs_squared
 from .selection import median_from_sorted, sample_median
 
 if TYPE_CHECKING:  # only used in signatures; the object is duck-typed here
@@ -66,8 +66,7 @@ class GenieReport:
 
 
 def estimate_noise_power(y: ComplexVector, method: str = "quickselect",
-                         rng: "RngStream | None" = None,
-                         counter: OpCounter | None = None) -> NoisePowerEstimate:
+                         rng: "RngStream | None" = None) -> NoisePowerEstimate:
     """Estimate the average noise power from the noisy observation alone.
 
     Robust to a sparse set of strong entries: the median of |y|^2 tracks
@@ -77,17 +76,7 @@ def estimate_noise_power(y: ComplexVector, method: str = "quickselect",
     pipelines that already sort |y|^2 should use
     :func:`noise_power_from_sorted` on the sorted array instead.
     """
-    z = abs_squared(y)
-    if counter is not None:
-        counter.reset()
-        counter.real_mults += 2 * y.dim
-        counter.real_adds += y.dim
-    med = sample_median(z, method=method, rng=rng)
-    if counter is not None:
-        counter.comparisons += med.ops.comparisons
-        counter.real_adds += med.ops.real_adds
-        counter.real_mults += med.ops.real_mults
-        counter.divisions += 1
+    med = sample_median(abs_squared(y), method=method, rng=rng)
     return NoisePowerEstimate(value=med.value / LOG2, median_z=med.value)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import statistics
 from unittest import mock
 
@@ -142,6 +143,25 @@ class TestChannelCsv:
             assert 0.0 <= v <= 1.0
 
 
+# Inputs that exit 2 before any CSV is written: (argv, config file text).
+BAD_INPUTS = {
+    "unknown-config-key": (["sweep-snr"], "trails=7\n"),
+    "non-boolean-summary": (["sweep-snr"], "summary=maybe\n"),
+    "non-integer-dim": (["sweep-dim", "--dim", "64.9,32", "--snr-db", "0"], None),
+    "negative-seed": (["sweep-snr", "--seed", "-1"], None),
+    "nan-snr": (["sweep-snr", "--snr-db=nan"], None),
+    "p-above-one": (["bounds", "--p", "0.1,1.5"], None),
+    "infinite-n0": (["sweep-snr", "--n0", "inf"], None),
+    "no-estimators": (["sweep-snr", "--estimators", ","], None),
+}
+
+# A value other than the default for each setting of the settings table.
+SETTING_VALUES = {"trials": "12", "dim": "16,32", "p": "0.2,0.4", "n0": "2.5",
+                  "snr_db": "-3,7", "seed": "17", "out": "elsewhere.csv",
+                  "estimators": "blind,genie", "users": "3", "paths": "4",
+                  "summary": "true"}
+
+
 class TestConfigAndExitCodes:
     def test_invalid_trials_exits_two(self, tmp_path):
         assert main(["sweep-snr", "--trials", "0",
@@ -201,13 +221,48 @@ class TestConfigAndExitCodes:
         assert main(["sweep-dim", "--trials", "3", "--dim", "1,2", "--snr-db", "0",
                      "--estimators", "blind,genie", "--out", out]) == 0
 
+    @pytest.mark.parametrize("argv,config", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_exits_two_without_csv(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "x.csv"
+        if config is not None:
+            (tmp_path / "exp.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "exp.cfg")]
+        assert main(argv + ["--trials", "2", "--out", str(out)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", list(cli._SETTINGS))
+    def test_config_file_and_flag_give_same_config(self, tmp_path, key):
+        def config(*argv):
+            return cli._build_config(cli._build_parser().parse_args(["sweep-snr", *argv]))
+
+        value = SETTING_VALUES[key]
+        (tmp_path / "exp.cfg").write_text(f"{key}={value}\n")
+        flag = "--" + key.replace("_", "-")
+        from_file = config("--config", str(tmp_path / "exp.cfg"))
+        assert from_file == config(flag if key == "summary" else f"{flag}={value}")
+        assert from_file != config()
+
+    def test_config_file_run_writes_flag_run_bytes(self, tmp_path):
+        (tmp_path / "exp.cfg").write_text("trials=8\ndim=16\np=0.2\nn0=2\nsnr_db=-5,5\n"
+                                          "seed=4\nestimators=blind,em\n")
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(["sweep-snr", "--config", str(tmp_path / "exp.cfg"),
+                     "--out", str(from_file)]) == 0
+        assert main(["sweep-snr", "--trials", "8", "--dim", "16", "--p", "0.2", "--n0", "2",
+                     "--snr-db=-5,5", "--seed", "4", "--estimators", "blind,em",
+                     "--out", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError):
             SweepConfig(experiment="nope")
-        with pytest.raises(ConfigError):
-            SweepConfig(experiment="sweep_snr", snr_points_db=())
-        with pytest.raises(ConfigError):
-            SweepConfig(experiment="sweep_snr", estimators=("blind", "oracle"))
+        for bad in ({"snr_points_db": ()}, {"snr_points_db": (0.0, math.nan)},
+                    {"estimators": ("blind", "oracle")}, {"estimators": ()},
+                    {"seed": -1}, {"n0": math.inf}, {"p_points": (0.1, 1.5)},
+                    {"activity_rate": 0.0, "p_points": (0.1,)}):
+            with pytest.raises(ConfigError):
+                SweepConfig(experiment="sweep_snr", **bad)
 
 
 class TestOtherSweeps:
@@ -233,7 +288,7 @@ class TestOtherSweeps:
                           output_path=str(tmp_path / "lib.csv"), seed=11)
         rows = run_sweep_snr(cfg)
         assert len(rows) == 4
-        assert all(r["family"] == "blind" for r in rows)
+        assert all(r.family == "blind" for r in rows)
 
 
 class TestStats:
