@@ -22,8 +22,8 @@ together on blocks of at most 2^18 entries.
 Every setting is read from one table, ``_SETTINGS``: a ``--config`` file
 holds ``key=value`` lines whose keys are the flag names (``snr_db`` for
 ``--snr-db``), flags override the file, and file and flag values go
-through the same parser. ``SweepConfig`` range-checks the values; only
-the channel's shape (antennas, users, paths) is left to ``ChannelConfig``.
+through the same parser. ``SweepConfig`` range-checks the values, the
+channel's shape (antennas, users, paths) through ``ChannelConfig``.
 
 Exit codes: 0 success, 1 I/O error writing the CSV or summary, 2 invalid
 configuration (an unreadable config file, an unknown key, or a value that
@@ -109,6 +109,10 @@ class SweepConfig:
             raise ConfigError("sweep_p needs a comma list of p values (--p)")
         if self.experiment == "sweep_dim" and not self.dim_points:
             raise ConfigError("sweep_dim needs a comma list of dims (--dim)")
+        if self.experiment != "sweep_dim" and len(self.dim_points) > 1:
+            raise ConfigError("only sweep_dim takes a comma list of dims")
+        if self.experiment not in ("sweep_p", "bounds_grid") and len(self.p_points) > 1:
+            raise ConfigError("only sweep_p and bounds_grid take a comma list of p values")
         dims = self.dim_points if self.experiment == "sweep_dim" else (self.dim,)
         if min(dims) < 1:
             raise ConfigError(f"dim={min(dims)} must be positive")
@@ -116,6 +120,33 @@ class SweepConfig:
                 and "em" in self.estimators and min(dims) < 2):
             raise ConfigError("the em family needs dim >= 2; at dim 1 use "
                               "--estimators blind,genie")
+        if self.experiment.startswith("channel"):
+            try:
+                ChannelConfig(antennas=self.dim, users=self.users,
+                              paths_per_user=self.paths_per_user)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        # The linear SNR, the noise and active powers it implies, and 2^10
+        # times the energy of a trial of active entries must be finite and
+        # positive: the estimators square and sum the entries, and an
+        # exponential exceeds 2^10 times its mean with probability e^-1024.
+        for snr_db in self.snr_points_db:
+            try:
+                snr = 10.0 ** (snr_db / 10.0)
+            except OverflowError:
+                snr = math.inf
+            if self.experiment.startswith("channel"):
+                # the channel observes at n0 = 1/snr (channel_mse) or users/snr
+                users = 1 if self.experiment == "channel_mse" else self.users
+                n0 = users / snr if snr else 0.0
+                active = []
+            else:
+                n0 = self.n0
+                active = [snr * n0 / p for p in (self.activity_rate, *self.p_points)]
+            energy = 2.0 ** 10 * max(dims) * (max(active, default=0.0) + n0)
+            if not all(0.0 < x < math.inf for x in (snr, n0, *active, energy)):
+                raise ConfigError(f"snr_db={snr_db} puts a model power outside the "
+                                  f"finite float range (linear SNR {snr:g})")
 
 
 def _extra(obj: dict) -> str:
@@ -267,11 +298,8 @@ def run_bounds_grid(cfg: SweepConfig) -> list:
 
 def run_channel(cfg: SweepConfig) -> list:
     """Channel MSE or uncoded BER for every denoising variant per SNR point."""
-    try:
-        chan = ChannelConfig(antennas=cfg.dim, users=cfg.users,
-                             paths_per_user=cfg.paths_per_user)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    chan = ChannelConfig(antennas=cfg.dim, users=cfg.users,
+                         paths_per_user=cfg.paths_per_user)
     base = RngStream(cfg.seed, stream_id=0)
     rows = []
     for snr_db in cfg.snr_points_db:

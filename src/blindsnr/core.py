@@ -96,8 +96,8 @@ class BcgParams:
             raise ValueError("dim must be a positive integer")
         if not 0.0 < self.activity_rate <= 1.0:
             raise ValueError("activity_rate must lie in (0, 1]")
-        if not self.active_power > 0.0:
-            raise ValueError("active_power must be positive")
+        if not 0.0 < self.active_power < math.inf:
+            raise ValueError("active_power must be positive and finite")
         if not self.noise_power > 0.0:
             raise ValueError("noise_power must be positive")
 

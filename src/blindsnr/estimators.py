@@ -20,11 +20,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import LOG2, ComplexVector, abs_squared
-from .selection import median_from_sorted, sample_median
+from .selection import median_from_sorted
 
 if TYPE_CHECKING:  # only used in signatures; the object is duck-typed here
     from .sure import DenoiserFunction
-    from .core import RngStream
 
 
 @dataclass(frozen=True)
@@ -65,24 +64,19 @@ class GenieReport:
     e0_bar: float
 
 
-def estimate_noise_power(y: ComplexVector, method: str = "quickselect",
-                         rng: "RngStream | None" = None) -> NoisePowerEstimate:
+def estimate_noise_power(y: ComplexVector) -> NoisePowerEstimate:
     """Estimate the average noise power from the noisy observation alone.
 
     Robust to a sparse set of strong entries: the median of |y|^2 tracks
     the noise-only exponential bulk, whose median is N0 log 2.
 
-    Standalone calls default to quickselect (expected linear time);
-    pipelines that already sort |y|^2 should use
-    :func:`noise_power_from_sorted` on the sorted array instead.
+    The median comes from one sort of |y|^2, the same sort and
+    :func:`~blindsnr.selection.median_from_sorted` that
+    :func:`~blindsnr.sure.blind_report` uses, so the two estimates agree bit
+    for bit. :func:`~blindsnr.selection.sample_median` gives the same value
+    by counted quickselect.
     """
-    med = sample_median(abs_squared(y), method=method, rng=rng)
-    return NoisePowerEstimate(value=med.value / LOG2, median_z=med.value)
-
-
-def noise_power_from_sorted(z_sorted: np.ndarray) -> NoisePowerEstimate:
-    """Noise power estimate reusing an already-sorted |y|^2 array."""
-    med = median_from_sorted(z_sorted)
+    med = float(median_from_sorted(np.sort(abs_squared(y))))
     return NoisePowerEstimate(value=med / LOG2, median_z=med)
 
 

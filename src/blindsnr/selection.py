@@ -146,16 +146,12 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
     return MedianResult(value=value, method=method, ops=counter.snapshot())
 
 
-def median_from_sorted(sorted_x: np.ndarray):
-    """Sample median along the last axis of an ascending-sorted array (no re-sort).
-
-    A float for a one-dimensional input, else one median per row.
-    """
-    d = sorted_x.shape[-1] if sorted_x.ndim else 0
+def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
+    """Sample median of each row of an array sorted ascending along its last
+    axis (no re-sort): one median per row."""
+    d = sorted_x.shape[-1]
     if d == 0:
         raise ValueError("cannot take the median of an empty array")
     lo = (d + 1) // 2
     hi = d // 2 + 1
-    if sorted_x.ndim == 1:
-        return 0.5 * (float(sorted_x[lo - 1]) + float(sorted_x[hi - 1]))
     return 0.5 * (sorted_x[..., lo - 1] + sorted_x[..., hi - 1])

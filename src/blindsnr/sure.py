@@ -19,13 +19,12 @@ zero-map candidate, all in closed form after one sort: O(D log D) total.
 The fully blind variant reuses the same sorted array to form the
 median-based noise estimate, so a single sort serves both jobs.
 
-The kernels work along the last axis, on one vector or on an (R, D)
-block of rows with one noise power or threshold per row:
-:func:`search_rows`, :func:`soft_threshold_rows`,
-:func:`denoise_blind_rows` and :func:`blind_rows`, the whole blind
-pipeline (noise, signal power, SNR and risk estimate from one |y|^2 and
-one sort). The per-vector functions are one-row calls into the same
-kernels.
+The kernels work on an (R, D) block of rows, with one noise power or
+threshold per row, and reject any other shape: :func:`search_rows`,
+:func:`soft_threshold_rows`, :func:`denoise_blind_rows` and
+:func:`blind_rows`, the whole blind pipeline (noise, signal power, SNR
+and risk estimate from one |y|^2 and one sort). The per-vector functions
+are one-row calls into the same kernels.
 """
 
 from __future__ import annotations
@@ -68,48 +67,36 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     return np.sqrt(abs_squared(values))
 
 
-def _check_tau(tau) -> None:
-    if not 0.0 <= tau < math.inf:
-        raise ValueError("tau must be non-negative and finite")
+def _rows(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 2:
+        raise ValueError(f"expected an (R, D) array of rows, got shape {values.shape}")
+    return values
 
 
-def _check_n0(n0) -> None:
-    if not 0.0 < n0 < math.inf:
-        raise ValueError("n0 must be positive and finite")
-
-
-def _above(r: np.ndarray, tau):
-    """The entries with r > tau, and tau / r on them, for tau a scalar or a
-    column that broadcasts against r."""
+def _shrink(values: np.ndarray, r: np.ndarray, tau: np.ndarray):
+    """(y/|y|) max(|y| - tau, 0) for each row, given r = |y| and tau an
+    (R, 1) column. Also returns the entries kept (r > tau) and tau / r on
+    them, 0 elsewhere."""
     keep = r > tau
-    if isinstance(tau, np.ndarray):
-        tau = np.broadcast_to(tau, r.shape)[keep]
-    return keep, tau / r[keep]
-
-
-def _shrink(values: np.ndarray, r: np.ndarray, tau) -> np.ndarray:
-    """(y/|y|) max(|y| - tau, 0) along the last axis, given r = |y| and tau
-    as a scalar or an (R, 1) column."""
-    keep, ratio = _above(r, tau)
-    scale = np.zeros_like(r)
-    scale[keep] = 1.0 - ratio
-    return values * scale
+    ratio = np.divide(tau, r, out=np.zeros_like(r), where=keep)
+    scale = np.subtract(1.0, ratio, out=np.zeros_like(r), where=keep)
+    return values * scale, keep, ratio
 
 
 def soft_threshold_rows(values, tau) -> np.ndarray:
-    """Soft threshold of each row of a complex array; ``tau`` is one
+    """Soft threshold of each row of a complex (R, D) array; ``tau`` is one
     non-negative finite threshold, or one per row."""
-    values = np.asarray(values, dtype=np.complex128)
+    values = _rows(values)
     tau = np.asarray(tau, dtype=np.float64)
     if not ((tau >= 0.0) & (tau < math.inf)).all():
         raise ValueError("tau must be non-negative and finite")
-    return _shrink(values, _magnitudes(values), tau[..., None])
+    return _shrink(values, _magnitudes(values), tau[..., None])[0]
 
 
 def soft_threshold(y: ComplexVector, tau: float) -> ComplexVector:
     """Entrywise (y_d/|y_d|) * max(|y_d| - tau, 0), with 0 mapped to 0."""
-    _check_tau(tau)
-    out = _shrink(y.values, _magnitudes(y.values), tau)
+    out = soft_threshold_rows(y.values[None], tau)[0]
     return ComplexVector(out.real, out.imag)
 
 
@@ -180,8 +167,10 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     Agrees with :func:`blindsnr.estimators.estimate_mse` applied to the
     corresponding soft-threshold denoiser up to rounding.
     """
-    _check_tau(tau)
-    _check_n0(n0)
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be non-negative and finite")
+    if not 0.0 < n0 < math.inf:
+        raise ValueError("n0 must be positive and finite")
     z = abs_squared(y)
     r = np.sqrt(z)
     d = y.dim
@@ -193,47 +182,40 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     return term1 - n0 + n0 * div / d
 
 
-def _search_sorted(rs: np.ndarray, n0):
-    """SURE minimum over tau >= 0 for ascending magnitudes along the last axis.
+def _search_sorted(rs: np.ndarray, n0: np.ndarray):
+    """SURE minimum over tau >= 0 for each row of ascending magnitudes.
 
-    ``rs`` is (D,) or (R, D), ``n0`` a scalar or an (R, 1) column. Returns
-    (tau_star, sure_at_tau), each a scalar or one per row.
+    ``rs`` is (R, D) and ``n0`` an (R, 1) column. Returns (tau_star,
+    sure_at_tau), one per row.
     """
-    d = rs.shape[-1]
-    lead = rs.shape[:-1]
-    edge = np.zeros(lead + (1,))
-    prefix_z = np.concatenate((edge, np.cumsum(rs * rs, axis=-1)), axis=-1)
-    recip = np.zeros_like(rs)
-    nz = rs > 0
-    recip[nz] = 1.0 / rs[nz]
-    suffix_recip = np.concatenate(
-        (np.cumsum(recip[..., ::-1], axis=-1)[..., ::-1], edge), axis=-1)
+    rows, d = rs.shape
+    edge = np.zeros((rows, 1))
+    rs0 = np.concatenate((edge, rs), axis=1)  # 0, then the magnitudes
+    prefix_z = np.cumsum(rs0 * rs0, axis=1)
+    recip = np.divide(1.0, rs, out=np.zeros_like(rs), where=rs > 0)
+    suffix_recip = np.concatenate((np.cumsum(recip[:, ::-1], axis=1)[:, ::-1], edge),
+                                  axis=1)
 
     # For tau in [rs[k-1], rs[k]) exactly k entries sit below threshold;
     # the above-set has c = d - k entries and the smooth piece is minimized
     # at tau = n0 * S / (2 c) with S the reciprocal sum over the above-set.
     c = np.arange(d, 0, -1, dtype=np.float64)
-    tau_raw = n0 * suffix_recip[..., :d] / (2.0 * c)
-    lower = np.concatenate((edge, rs[..., :-1]), axis=-1)
-    stationary = np.clip(tau_raw, lower, rs)
-    taus = np.concatenate((edge, stationary, rs[..., -1:]), axis=-1)
+    tau_raw = n0 * suffix_recip[:, :d] / (2.0 * c)
+    stationary = np.clip(tau_raw, rs0[:, :-1], rs)
+    taus = np.concatenate((edge, stationary, rs[:, -1:]), axis=1)
 
     # exact SURE at each candidate: entries <= tau are below threshold
-    if rs.ndim == 1:
-        j = np.searchsorted(rs, taus, side="right")
-        at = j
-    else:
-        j = np.empty(taus.shape, dtype=np.intp)
-        for row in range(len(rs)):
-            j[row] = np.searchsorted(rs[row], taus[row], side="right")
-        at = (np.arange(len(rs))[:, None], j)
+    j = np.empty(taus.shape, dtype=np.intp)
+    for row in range(rows):
+        j[row] = np.searchsorted(rs[row], taus[row], side="right")
+    at = j + np.arange(0, rows * (d + 1), d + 1)[:, None]  # flat index into (R, d + 1)
     above = (d - j).astype(np.float64)
-    sures = (prefix_z[at] + above * taus * taus) / d - n0 \
-        + (n0 / d) * (2.0 * above - taus * suffix_recip[at])
+    sures = (prefix_z.take(at) + above * taus * taus) / d - n0 \
+        + (n0 / d) * (2.0 * above - taus * suffix_recip.take(at))
 
-    best = np.lexsort((taus, sures), axis=-1)[..., 0]  # ties: smaller tau wins
-    pick = best if rs.ndim == 1 else (at[0][:, 0], best)
-    return taus[pick], sures[pick]
+    best = np.lexsort((taus, sures), axis=1)[:, 0]  # ties: smaller tau wins
+    best += np.arange(0, rows * (d + 2), d + 2)
+    return taus.take(best), sures.take(best)
 
 
 def search_rows(values, n0):
@@ -242,11 +224,11 @@ def search_rows(values, n0):
     ``n0`` is one positive finite noise power, or one per row. Returns
     (tau_star, sure_at_tau), one per row; see :func:`search_threshold`.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = _rows(values)
     n0 = np.asarray(n0, dtype=np.float64)
     if not ((n0 > 0.0) & (n0 < math.inf)).all():
         raise ValueError("n0 must be positive and finite")
-    return _search_sorted(np.sort(_magnitudes(values), axis=-1), n0[..., None])
+    return _search_sorted(np.sort(_magnitudes(values), axis=1), n0[..., None])
 
 
 def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
@@ -256,25 +238,24 @@ def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
     stationary point of every inter-order-statistic interval plus tau = 0
     and the zero-map candidate; total cost O(D log D).
     """
-    _check_n0(n0)
-    tau, sure = _search_sorted(np.sort(_magnitudes(y.values)), n0)
+    (tau,), (sure,) = search_rows(y.values[None], n0)
     return ThresholdSearchResult(tau_star=float(tau), sure_at_tau=float(sure),
                                  n0_used=float(n0), candidates_evaluated=y.dim + 2)
 
 
 def _sort_search(values: np.ndarray):
     """|y|^2, one sort of it, the median noise estimate and the threshold
-    search at that estimate, along the last axis.
+    search at that estimate, for each row.
 
-    Returns (z, median_z, n0, tau, sure), the last four scalars for one
-    vector and one per row otherwise. A zero noise estimate searches
-    harmlessly (tau = 0); callers mask those rows.
+    Returns (z, median_z, n0, tau, sure), the last four one per row. A
+    zero noise estimate searches harmlessly (tau = 0); callers mask those
+    rows.
     """
     z = abs_squared(values)
-    zs = np.sort(z, axis=-1)
+    zs = np.sort(z, axis=1)
     median_z = median_from_sorted(zs)
     n0 = median_z / LOG2
-    tau, sure = _search_sorted(np.sqrt(zs), n0 if values.ndim == 1 else n0[:, None])
+    tau, sure = _search_sorted(np.sqrt(zs), n0[:, None])
     return z, median_z, n0, tau, sure
 
 
@@ -285,9 +266,9 @@ def denoise_blind_rows(values):
     :func:`denoise_blind`. Rows whose noise estimate is zero come back
     unchanged.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = _rows(values)
     z, _, n0, tau, _ = _sort_search(values)
-    denoised = _shrink(values, np.sqrt(z), tau[:, None])
+    denoised = _shrink(values, np.sqrt(z), tau[:, None])[0]
     return np.where(n0[:, None] > 0.0, denoised, values), n0
 
 
@@ -308,7 +289,7 @@ def denoise_blind(y: ComplexVector):
 
 
 class BlindRows(NamedTuple):
-    """The blind pipeline's outputs, one per row (scalars for one vector).
+    """The blind pipeline's outputs, one per row.
 
     ``shrunk`` is the soft threshold of the input at ``tau``. Where the
     noise estimate ``n0`` is zero, ``tau``, ``sure``, ``snr``, ``mse`` and
@@ -328,45 +309,32 @@ class BlindRows(NamedTuple):
     divergence_sum: np.ndarray
 
 
-def _pick(cond, a, b):
-    """np.where for one scalar condition."""
-    return a if cond else b
-
-
 def blind_rows(values) -> BlindRows:
-    """The blind pipeline on each row of a complex (R, D) array, or on one
-    (D,) vector.
+    """The blind pipeline on each row of a complex (R, D) array.
 
     One |y|^2 and one sort serve the median noise estimate, the threshold
     search and the soft threshold, and the signal power, SNR and risk
     estimate are sums over that same |y|^2 and the shrunk rows. Each value
     is bit for bit what :func:`blind_report` gives for that row alone.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    d = values.shape[-1]
+    values = _rows(values)
+    d = values.shape[1]
     z, median_z, n0, tau, sure = _sort_search(values)
     # a zero noise estimate (at least half the entries zero) gets no
-    # threshold, SNR or risk; one vector masks in scalar arithmetic
+    # threshold, SNR or risk
     pos = n0 > 0.0
-    where = np.where if values.ndim > 1 else _pick
-    tau = where(pos, tau, 0.0)
-    r = np.sqrt(z)
-    keep, ratio = _above(r, tau if values.ndim == 1 else tau[:, None])
-    scale = np.zeros_like(r)
-    scale[keep] = 1.0 - ratio
-    shrunk = values * scale
+    tau = np.where(pos, tau, 0.0)
+    shrunk, keep, ratio = _shrink(values, np.sqrt(z), tau[:, None])
     # the soft threshold's divergence: 2 - tau/|y_d| above tau, 0 below
-    div = np.zeros_like(r)
-    div[keep] = 2.0 - ratio
-    div_sum = div.sum(axis=-1)
-    ey = z.sum(axis=-1) / d
-    resid = abs_squared(shrunk - values).sum(axis=-1) / d
-    safe = where(pos, n0, 1.0)
+    div_sum = np.subtract(2.0, ratio, out=np.zeros_like(ratio), where=keep).sum(axis=1)
+    ey = z.sum(axis=1) / d
+    resid = abs_squared(shrunk - values).sum(axis=1) / d
+    safe = np.where(pos, n0, 1.0)
     return BlindRows(
-        z=z, median_z=median_z, n0=n0, tau=tau, sure=where(pos, sure, 0.0),
-        shrunk=shrunk, signal=ey - n0, snr=where(pos, ey / safe - 1.0, 0.0),
-        mse=where(pos, resid - n0 + n0 * div_sum / d, 0.0),
-        divergence_sum=where(pos, div_sum, 0.0))
+        z=z, median_z=median_z, n0=n0, tau=tau, sure=np.where(pos, sure, 0.0),
+        shrunk=shrunk, signal=ey - n0, snr=np.where(pos, ey / safe - 1.0, 0.0),
+        mse=np.where(pos, resid - n0 + n0 * div_sum / d, 0.0),
+        divergence_sum=np.where(pos, div_sum, 0.0))
 
 
 @dataclass(frozen=True)
@@ -388,14 +356,14 @@ def blind_report(y: ComplexVector) -> EstimateReport:
     signal power chain on the clipped noise estimate. A one-row call into
     :func:`blind_rows`.
     """
-    b = blind_rows(y.values)
-    n0 = b.n0
-    noise = NoisePowerEstimate(value=n0, median_z=b.median_z)
-    signal, snr, mse = float(b.signal), float(b.snr), float(b.mse)
+    b = blind_rows(y.values[None])
+    median_z, n0, tau, sure, signal, snr, mse, div_sum = (
+        a.item() for a in b[1:5] + b[6:])
+    noise = NoisePowerEstimate(value=n0, median_z=median_z)
     if n0 > 0.0:
-        search = ThresholdSearchResult(tau_star=float(b.tau), sure_at_tau=float(b.sure),
+        search = ThresholdSearchResult(tau_star=tau, sure_at_tau=sure,
                                        n0_used=n0, candidates_evaluated=y.dim + 2)
-        denoised = ComplexVector(b.shrunk.real, b.shrunk.imag)
+        denoised = ComplexVector(b.shrunk[0].real, b.shrunk[0].imag)
     else:
         search = ThresholdSearchResult(tau_star=0.0, sure_at_tau=0.0,
                                        n0_used=0.0, candidates_evaluated=0)
@@ -403,6 +371,5 @@ def blind_report(y: ComplexVector) -> EstimateReport:
     return EstimateReport(
         noise=noise, signal=SignalPowerEstimate(value=max(signal, 0.0), raw=signal),
         snr=SnrEstimate(value=max(snr, 0.0), raw=snr),
-        mse=MseEstimate(value=max(mse, 0.0), raw_sure=mse,
-                        divergence_sum=float(b.divergence_sum)),
+        mse=MseEstimate(value=max(mse, 0.0), raw_sure=mse, divergence_sum=div_sum),
         search=search, denoised=denoised)

@@ -153,10 +153,16 @@ BAD_INPUTS = {
     "p-above-one": (["bounds", "--p", "0.1,1.5"], None),
     "infinite-n0": (["sweep-snr", "--n0", "inf"], None),
     "no-estimators": (["sweep-snr", "--estimators", ","], None),
+    "dim-list-outside-sweep-dim": (["sweep-snr", "--dim", "32,64"], None),
+    "p-list-outside-sweep-p": (["sweep-snr", "--p", "0.1,0.2"], None),
+    "snr-overflow": (["sweep-snr", "--snr-db", "4000"], None),
+    "observation-power-overflow": (["sweep-snr", "--n0", "1e300", "--snr-db", "70"], None),
+    "channel-n0-overflow": (["channel-mse", "--snr-db=-4000"], None),
+    "active-power-overflow": (["sweep-snr", "--p", "1e-320", "--snr-db", "0"], None),
 }
 
 # A value other than the default for each setting of the settings table.
-SETTING_VALUES = {"trials": "12", "dim": "16,32", "p": "0.2,0.4", "n0": "2.5",
+SETTING_VALUES = {"trials": "12", "dim": "16", "p": "0.2", "n0": "2.5",
                   "snr_db": "-3,7", "seed": "17", "out": "elsewhere.csv",
                   "estimators": "blind,genie", "users": "3", "paths": "4",
                   "summary": "true"}
@@ -260,9 +266,28 @@ class TestConfigAndExitCodes:
         for bad in ({"snr_points_db": ()}, {"snr_points_db": (0.0, math.nan)},
                     {"estimators": ("blind", "oracle")}, {"estimators": ()},
                     {"seed": -1}, {"n0": math.inf}, {"p_points": (0.1, 1.5)},
-                    {"activity_rate": 0.0, "p_points": (0.1,)}):
+                    {"activity_rate": 0.0, "p_points": (0.1,)},
+                    {"dim_points": (32, 64)}, {"p_points": (0.1, 0.2)},
+                    {"snr_points_db": (4000.0,)}, {"snr_points_db": (-4000.0,)},
+                    {"n0": 1e300, "snr_points_db": (70.0,)},
+                    {"activity_rate": 1e-320, "snr_points_db": (0.0,)}):
             with pytest.raises(ConfigError):
                 SweepConfig(experiment="sweep_snr", **bad)
+        for experiment, bad in (("sweep_p", {"dim_points": (32, 64)}),
+                                ("sweep_dim", {"dim_points": (32, 64), "p_points": (0.1, 0.2)}),
+                                ("channel_mse", {"p_points": (0.1, 0.2)}),
+                                ("channel_mse", {"snr_points_db": (-4000.0,)}),
+                                ("channel_mse", {"snr_points_db": (-3080.0,)}),
+                                ("channel_ber", {"snr_points_db": (4000.0,)})):
+            with pytest.raises(ConfigError):
+                SweepConfig(experiment=experiment, **bad)
+        # the channel's shape is checked before its noise power
+        with pytest.raises(ConfigError, match="users must lie"):
+            SweepConfig(experiment="channel_ber", dim=128, users=0)
+        # one-entry lists, and lists where they are read, stay valid
+        SweepConfig(experiment="sweep_snr", dim_points=(32,), p_points=(0.2,))
+        SweepConfig(experiment="sweep_dim", dim_points=(32, 64))
+        SweepConfig(experiment="bounds_grid", p_points=(0.1, 0.2))
 
 
 class TestOtherSweeps:

@@ -58,6 +58,8 @@ class TestBcgParams:
         with pytest.raises(ValueError):
             BcgParams(64, 0.1, -1.0, 1.0)
         with pytest.raises(ValueError):
+            BcgParams(64, 0.1, math.inf, 1.0)
+        with pytest.raises(ValueError):
             BcgParams(0, 0.1, 10.0, 1.0)
 
 

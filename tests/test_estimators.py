@@ -20,6 +20,7 @@ from blindsnr import (
     soft_threshold,
 )
 from blindsnr.estimators import genie_rows
+from blindsnr.selection import median_from_sorted
 from blindsnr.theory import exact_power_median, n0_bounds_from_median
 
 from conftest import bcg_params, draw_observation, reference_genie
@@ -28,20 +29,19 @@ from conftest import bcg_params, draw_observation, reference_genie
 class TestNoisePower:
     def test_pure_noise_exactness(self):
         y = sample_noise(1.0, 10**6, RngStream(21))
-        est = estimate_noise_power(y, rng=RngStream(22))
+        est = estimate_noise_power(y)
         assert abs(est.value - 1.0) <= 0.01
 
     def test_constant_power_is_exact(self):
         # every |y_d|^2 = log 2 makes the estimate exactly 1 (float sqrt
         # does not round-trip, so the power array is built directly)
-        from blindsnr.estimators import noise_power_from_sorted
-        est = noise_power_from_sorted(np.full(4, LOG2))
-        assert est.value == 1.0
-        assert est.median_z == LOG2
+        median_z = median_from_sorted(np.full((1, 4), LOG2))
+        assert median_z.tolist() == [LOG2]
+        assert (median_z / LOG2).tolist() == [1.0]
         # and through a complex vector it is exact to the last ulp
         r = math.sqrt(LOG2)
         y = ComplexVector([r, r, r, r], [0.0] * 4)
-        via_vector = estimate_noise_power(y, method="full_sort")
+        via_vector = estimate_noise_power(y)
         assert via_vector.value == pytest.approx(1.0, rel=1e-15)
 
     def test_sample_median_certificate_brackets_true_n0(self):
@@ -50,7 +50,7 @@ class TestNoisePower:
         # above the upper end (it is pessimistic by construction).
         params = bcg_params(10**6, 0.1, 1.0)  # p=0.1, Eh=10, N0=1
         _, _, y = draw_observation(params, seed=23, trial=0)
-        est = estimate_noise_power(y, method="full_sort")
+        est = estimate_noise_power(y)
         lower, upper = n0_bounds_from_median(est.median_z, 0.1, 1.0)
         assert lower <= 1.0 <= upper
         assert est.value >= upper  # median/log2 dominates the upper bound
@@ -72,7 +72,7 @@ class TestSignalPower:
 
     def test_pure_noise_estimate_small(self):
         y = sample_noise(1.0, 10**6, RngStream(24))
-        n0_hat = estimate_noise_power(y, rng=RngStream(25)).value
+        n0_hat = estimate_noise_power(y).value
         assert estimate_signal_power(y, n0_hat).value <= 0.02
 
     def test_rejects_negative_n0(self):
@@ -100,7 +100,7 @@ class TestSnr:
         vals = []
         for t in range(3000):
             _, _, y = draw_observation(params, seed=26, trial=t)
-            n0_hat = estimate_noise_power(y, rng=RngStream(27, t)).value
+            n0_hat = estimate_noise_power(y).value
             vals.append(estimate_snr(y, n0_hat).value)
         assert np.mean(vals) < 1.0
 
@@ -113,7 +113,7 @@ class TestSnr:
             raws = []
             for t in range(300):
                 _, _, y = draw_observation(params, seed=28 + i, trial=t)
-                n0_hat = estimate_noise_power(y, rng=RngStream(29 + i, t)).value
+                n0_hat = estimate_noise_power(y).value
                 raws.append(estimate_snr(y, n0_hat).raw)
             biases.append(abs(np.mean(raws) - snr))
         assert biases[0] > biases[1] > biases[2]
@@ -123,7 +123,7 @@ class TestSnr:
         params = bcg_params(256, 0.2, 2.0)
         for t in range(50):
             _, _, y = draw_observation(params, seed=30, trial=t)
-            n0_hat = estimate_noise_power(y, rng=RngStream(31, t)).value
+            n0_hat = estimate_noise_power(y).value
             raw_snr = estimate_snr(y, n0_hat).raw
             raw_es = estimate_signal_power(y, n0_hat).raw
             scale = max(1.0, abs(raw_snr))
@@ -228,7 +228,7 @@ class TestDirectionalBias:
         n0s, snrs = [], []
         for t in range(200):
             _, _, y = draw_observation(params, seed=40, trial=t)
-            est = estimate_noise_power(y, rng=RngStream(41, t))
+            est = estimate_noise_power(y)
             n0s.append(est.value)
             snrs.append(estimate_snr(y, est.value).value)
         assert np.mean(n0s) >= 1.0
@@ -241,7 +241,7 @@ class TestDirectionalBias:
             n0s = []
             for t in range(300):
                 _, _, y = draw_observation(params, seed=seed, trial=t)
-                n0s.append(estimate_noise_power(y, rng=RngStream(seed + 50, t)).value)
+                n0s.append(estimate_noise_power(y).value)
             assert abs(np.mean(n0s) - 1.0) < 0.02
 
 

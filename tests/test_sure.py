@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindsnr import (
+    LOG2,
     ComplexVector,
     DenoiserFunction,
     RngStream,
@@ -16,7 +17,9 @@ from blindsnr import (
     blind_report,
     denoise_blind,
     estimate_mse,
+    estimate_noise_power,
     genie_estimates,
+    sample_median,
     sample_noise,
     search_threshold,
     soft_threshold,
@@ -369,19 +372,23 @@ class TestRowsMatchPerVectorReference:
 
 
 def assert_blind_matches_reference(y):
-    """blind_rows on the (R, D) block, blind_rows on each row and
-    blind_report each equal the per-vector composition, bit for bit."""
+    """blind_rows on the (R, D) block, blind_rows on each row alone and
+    blind_report each equal the per-vector composition, bit for bit, and
+    the noise estimate equals estimate_noise_power and the quickselect
+    median."""
     rows = blind_rows(y)
     for k, row in enumerate(y):
         v = ComplexVector.from_complex(row)
         noise, signal, snr, mse, search, denoised = reference_blind(v)
-        one = blind_rows(row)
-        for got in (tuple(a[k] for a in rows[1:5]), one[1:5]):
+        one = blind_rows(row[None])
+        for got in (tuple(a[k] for a in rows[1:5]), tuple(a[0] for a in one[1:5])):
             assert got == (noise.median_z, noise.value, search.tau_star, search.sure_at_tau)
-        for got in (tuple(a[k] for a in rows[6:]), one[6:]):
+        for got in (tuple(a[k] for a in rows[6:]), tuple(a[0] for a in one[6:])):
             assert got == (signal.raw, snr.raw, mse.raw_sure, mse.divergence_sum)
+        assert estimate_noise_power(v).value == rows.n0[k] == \
+            sample_median(abs_squared(row), "quickselect").value / LOG2
         shrunk = soft_threshold(v, search.tau_star).values.tobytes()
-        assert rows.shrunk[k].tobytes() == one.shrunk.tobytes() == shrunk
+        assert rows.shrunk[k].tobytes() == one.shrunk[0].tobytes() == shrunk
         assert rows.z[k].tobytes() == abs_squared(row).tobytes()
         rep = blind_report(v)
         assert (rep.noise, rep.signal, rep.snr, rep.mse, rep.search) == \
@@ -389,6 +396,15 @@ def assert_blind_matches_reference(y):
         assert rep.denoised.values.tobytes() == denoised.values.tobytes()
         if noise.value <= 0.0:
             assert rep.denoised is v
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda v: search_rows(v, 1.0), lambda v: soft_threshold_rows(v, 1.0),
+    denoise_blind_rows, blind_rows],
+    ids=["search_rows", "soft_threshold_rows", "denoise_blind_rows", "blind_rows"])
+def test_row_kernels_reject_one_vector(kernel):
+    with pytest.raises(ValueError, match=r"\(R, D\)"):
+        kernel(sure_rows_data(1, 1, 8, "noise")[0])
 
 
 class TestBlindKernelMatchesComposition:
