@@ -149,6 +149,18 @@ def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: float):
             yield variant, soft_threshold_rows(y, tau), n0_em
 
 
+def noise_power(cfg: ChannelConfig, snr_db: float, metric: str) -> float:
+    """Noise power at ``snr_db``: 1 / snr for the ``"mse"`` experiment,
+    users * E_s / snr for ``"ber"``. ValueError unless it is positive and
+    finite; OverflowError from the dB conversion above about 3083 dB."""
+    snr = 10.0 ** (snr_db / 10.0)
+    energy = cfg.users * _SYMBOL_ENERGY if metric == "ber" else 1.0
+    n0 = energy / snr if snr > 0.0 else math.inf
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"noise power n0={n0:g} must be positive and finite")
+    return n0
+
+
 def _trials(cfg: ChannelConfig, variants: tuple, n0: float, trials: int,
             rng: RngStream):
     """Yield each trial's draw, shared by every variant evaluated on it.
@@ -181,7 +193,7 @@ def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
     beamspace vector has unit average entry power by construction).
     Returns a dict keyed by variant, in the order given.
     """
-    n0 = 1.0 / 10.0 ** (snr_db / 10.0)
+    n0 = noise_power(cfg, snr_db, "mse")
     d = cfg.antennas
     mse_sum = dict.fromkeys(variants, 0.0)
     n0_used = {v: [] for v in variants}
@@ -234,7 +246,7 @@ def ber_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
     observations use the same n0. Returns a dict keyed by variant, in the
     order given.
     """
-    n0 = cfg.users * _SYMBOL_ENERGY / 10.0 ** (snr_db / 10.0)
+    n0 = noise_power(cfg, snr_db, "ber")
     d, u = cfg.antennas, cfg.users
     noise_scale = math.sqrt(n0 / 2.0)
     reg = u * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR

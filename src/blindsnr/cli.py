@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import VARIANTS, ChannelConfig, ber_by_variant, mse_by_variant
+from .channel import (VARIANTS, ChannelConfig, ber_by_variant, mse_by_variant,
+                      noise_power)
 from .core import BcgParams, RngStream, bcg_rows, draw_trials
 from .em import em_fit_rows, em_init_rows
 from .estimators import genie_rows
@@ -120,33 +121,39 @@ class SweepConfig:
                 and "em" in self.estimators and min(dims) < 2):
             raise ConfigError("the em family needs dim >= 2; at dim 1 use "
                               "--estimators blind,genie")
-        if self.experiment.startswith("channel"):
-            try:
-                ChannelConfig(antennas=self.dim, users=self.users,
-                              paths_per_user=self.paths_per_user)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        # The linear SNR, the noise and active powers it implies, and 2^10
-        # times the energy of a trial of active entries must be finite and
-        # positive: the estimators square and sum the entries, and an
-        # exponential exceeds 2^10 times its mean with probability e^-1024.
+        chan = _channel(self) if self.experiment.startswith("channel") else None
         for snr_db in self.snr_points_db:
             try:
-                snr = 10.0 ** (snr_db / 10.0)
-            except OverflowError:
-                snr = math.inf
-            if self.experiment.startswith("channel"):
-                # the channel observes at n0 = 1/snr (channel_mse) or users/snr
-                users = 1 if self.experiment == "channel_mse" else self.users
-                n0 = users / snr if snr else 0.0
-                active = []
-            else:
-                n0 = self.n0
-                active = [snr * n0 / p for p in (self.activity_rate, *self.p_points)]
-            energy = 2.0 ** 10 * max(dims) * (max(active, default=0.0) + n0)
-            if not all(0.0 < x < math.inf for x in (snr, n0, *active, energy)):
-                raise ConfigError(f"snr_db={snr_db} puts a model power outside the "
-                                  f"finite float range (linear SNR {snr:g})")
+                if chan:
+                    metric = self.experiment[len("channel_"):]
+                    powers = [noise_power(chan, snr_db, metric)]
+                else:
+                    points = (_model_point(self, snr_db, p, max(dims))
+                              for p in (self.activity_rate, *self.p_points))
+                    powers = [prm.active_power + prm.noise_power for prm in points]
+            except OverflowError as exc:
+                raise ConfigError(f"snr_db={snr_db} overflows the linear SNR") from exc
+            except ValueError as exc:
+                raise ConfigError(f"snr_db={snr_db}: {exc}") from exc
+            if not _HEADROOM * max(dims) * max(powers) < math.inf:
+                raise ConfigError(f"snr_db={snr_db}: {_HEADROOM:g} x dim x the entry "
+                                  f"power {max(powers):g} leaves the float range")
+
+
+# |y|^2 of a model entry is exponential with mean at most its power
+# (active + n0), so it passes _HEADROOM times that mean with probability
+# e^-1024, below e^-980 anywhere in a run of under 2^63 entries. Short of
+# that, a row sum of dim entries, the largest value the estimators form,
+# is finite if _HEADROOM * dim * power is. The channel applies it to n0.
+_HEADROOM = 2.0 ** 10
+
+
+def _channel(cfg: SweepConfig) -> ChannelConfig:
+    try:
+        return ChannelConfig(antennas=cfg.dim, users=cfg.users,
+                             paths_per_user=cfg.paths_per_user)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _extra(obj: dict) -> str:
@@ -298,8 +305,7 @@ def run_bounds_grid(cfg: SweepConfig) -> list:
 
 def run_channel(cfg: SweepConfig) -> list:
     """Channel MSE or uncoded BER for every denoising variant per SNR point."""
-    chan = ChannelConfig(antennas=cfg.dim, users=cfg.users,
-                         paths_per_user=cfg.paths_per_user)
+    chan = _channel(cfg)
     base = RngStream(cfg.seed, stream_id=0)
     rows = []
     for snr_db in cfg.snr_points_db:

@@ -70,11 +70,9 @@ def estimate_noise_power(y: ComplexVector) -> NoisePowerEstimate:
     Robust to a sparse set of strong entries: the median of |y|^2 tracks
     the noise-only exponential bulk, whose median is N0 log 2.
 
-    The median comes from one sort of |y|^2, the same sort and
-    :func:`~blindsnr.selection.median_from_sorted` that
-    :func:`~blindsnr.sure.blind_report` uses, so the two estimates agree bit
-    for bit. :func:`~blindsnr.selection.sample_median` gives the same value
-    by counted quickselect.
+    One sort of |y|^2 and :func:`~blindsnr.selection.median_from_sorted`, as
+    in :func:`~blindsnr.sure.blind_report`, give the median bit for bit as
+    :func:`~blindsnr.selection.sample_median`'s counted quickselect does.
     """
     med = float(median_from_sorted(np.sort(abs_squared(y))))
     return NoisePowerEstimate(value=med / LOG2, median_z=med)

@@ -148,10 +148,13 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
 
 def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
     """Sample median of each row of an array sorted ascending along its last
-    axis (no re-sort): one median per row."""
+    axis (no re-sort): one median per row. NaN or infinite entries, which
+    sort to the ends of a row, are rejected as in :func:`sample_median`."""
     d = sorted_x.shape[-1]
     if d == 0:
         raise ValueError("cannot take the median of an empty array")
+    if not (np.isfinite(sorted_x[..., 0]).all() and np.isfinite(sorted_x[..., -1]).all()):
+        raise ValueError("input contains NaN or infinite entries")
     lo = (d + 1) // 2
     hi = d // 2 + 1
     return 0.5 * (sorted_x[..., lo - 1] + sorted_x[..., hi - 1])

@@ -149,11 +149,8 @@ class DenoiserFunction:
             return np.full(y.dim, 2.0)
         if self.kind == "zero":
             return np.zeros(y.dim)
-        r = _magnitudes(y.values)
-        above = r > self.tau
-        div = np.zeros(y.dim)
-        div[above] = 2.0 - self.tau / r[above]
-        return div
+        _, keep, ratio = _shrink(y.values, _magnitudes(y.values), self.tau)
+        return np.subtract(2.0, ratio, out=np.zeros_like(ratio), where=keep)
 
     def __repr__(self) -> str:
         if self.kind == "soft_threshold":

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import statistics
+import sys
 from unittest import mock
 
 import numpy as np
@@ -162,7 +163,7 @@ BAD_INPUTS = {
 }
 
 # A value other than the default for each setting of the settings table.
-SETTING_VALUES = {"trials": "12", "dim": "16", "p": "0.2", "n0": "2.5",
+SETTING_VALUES = {"trials": "12", "dim": "16,32", "p": "0.2,0.4", "n0": "2.5",
                   "snr_db": "-3,7", "seed": "17", "out": "elsewhere.csv",
                   "estimators": "blind,genie", "users": "3", "paths": "4",
                   "summary": "true"}
@@ -239,15 +240,35 @@ class TestConfigAndExitCodes:
 
     @pytest.mark.parametrize("key", list(cli._SETTINGS))
     def test_config_file_and_flag_give_same_config(self, tmp_path, key):
+        # the dim and p lists under the subcommands that read them
+        command = {"dim": "sweep-dim", "p": "bounds"}.get(key, "sweep-snr")
+
         def config(*argv):
-            return cli._build_config(cli._build_parser().parse_args(["sweep-snr", *argv]))
+            return cli._build_config(cli._build_parser().parse_args([command, *argv]))
 
         value = SETTING_VALUES[key]
         (tmp_path / "exp.cfg").write_text(f"{key}={value}\n")
         flag = "--" + key.replace("_", "-")
         from_file = config("--config", str(tmp_path / "exp.cfg"))
         assert from_file == config(flag if key == "summary" else f"{flag}={value}")
-        assert from_file != config()
+        parse, fields, _ = cli._SETTINGS[key]
+        assert getattr(from_file, fields[-1]) == parse(value)
+        assert getattr(from_file, fields[-1]) != getattr(SweepConfig("sweep_snr"), fields[-1])
+
+    def test_entry_power_headroom_boundary(self, tmp_path):
+        # at p = 1 and 0 dB the entry power is 2 n0, so dim 64 admits
+        # n0 below DBL_MAX / (2^10 * 64 * 2), about 1.37e303
+        limit = sys.float_info.max / (cli._HEADROOM * 64 * 2)
+        argv = ["sweep-snr", "--trials", "3", "--dim", "64", "--p", "1", "--snr-db", "0",
+                "--summary", "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ["--n0", repr(limit * 0.99)]) == 0
+        assert all(math.isfinite(float(r[k])) for r in read_rows(tmp_path / "s.csv")
+                   for k in ("mean", "stddev"))
+        assert main(argv + ["--n0", repr(limit * 1.01)]) == 2
+        # ran with finite rows before the rule, rejected now: 2^10 * 64 times
+        # the entry power 1e306 exceeds DBL_MAX
+        assert main(["sweep-snr", "--n0", "1e300", "--snr-db", "50", "--trials", "2",
+                     "--out", str(tmp_path / "t.csv")]) == 2
 
     def test_config_file_run_writes_flag_run_bytes(self, tmp_path):
         (tmp_path / "exp.cfg").write_text("trials=8\ndim=16\np=0.2\nn0=2\nsnr_db=-5,5\n"

@@ -44,6 +44,12 @@ class TestNoisePower:
         via_vector = estimate_noise_power(y)
         assert via_vector.value == pytest.approx(1.0, rel=1e-15)
 
+    def test_overflowing_power_rejected(self):
+        # |y|^2 of a finite entry above about 1.3e154 is inf
+        y = ComplexVector([1.0, 1e200, 1.0], [0.0] * 3)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infinite"):
+            estimate_noise_power(y)
+
     def test_sample_median_certificate_brackets_true_n0(self):
         # Plugging the sample median into the two-sided certificate must
         # bracket the true noise power; the estimate itself sits at or

@@ -288,6 +288,9 @@ class TestBlindReport:
         assert rep.noise.value == 0.0
         assert rep.snr.value == 0.0
         assert rep.mse.value == 0.0
+        # an overflowing |y|^2 raises instead of giving NaN estimates
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infinite"):
+            blind_report(ComplexVector(np.full(4, 1e200), np.zeros(4)))
 
 
 # --- row kernels against the per-vector reference -------------------------
