@@ -79,9 +79,9 @@ def _shrink(values: np.ndarray, r: np.ndarray, tau: np.ndarray):
     (R, 1) column. Also returns the entries kept (r > tau) and tau / r on
     them, 0 elsewhere."""
     keep = r > tau
-    ratio = np.divide(tau, r, out=np.zeros_like(r), where=keep)
-    scale = np.subtract(1.0, ratio, out=np.zeros_like(r), where=keep)
-    return values * scale, keep, ratio
+    # kept entries have r > tau >= 0; the rest divide by 1 and are dropped
+    ratio = np.where(keep, tau / np.where(keep, r, 1.0), 0.0)
+    return values * np.where(keep, 1.0 - ratio, 0.0), keep, ratio
 
 
 def soft_threshold_rows(values, tau) -> np.ndarray:
@@ -150,7 +150,7 @@ class DenoiserFunction:
         if self.kind == "zero":
             return np.zeros(y.dim)
         _, keep, ratio = _shrink(y.values, _magnitudes(y.values), self.tau)
-        return np.subtract(2.0, ratio, out=np.zeros_like(ratio), where=keep)
+        return np.where(keep, 2.0 - ratio, 0.0)
 
     def __repr__(self) -> str:
         if self.kind == "soft_threshold":
@@ -189,7 +189,8 @@ def _search_sorted(rs: np.ndarray, n0: np.ndarray):
     edge = np.zeros((rows, 1))
     rs0 = np.concatenate((edge, rs), axis=1)  # 0, then the magnitudes
     prefix_z = np.cumsum(rs0 * rs0, axis=1)
-    recip = np.divide(1.0, rs, out=np.zeros_like(rs), where=rs > 0)
+    nz = rs > 0
+    recip = np.where(nz, 1.0 / np.where(nz, rs, 1.0), 0.0)
     suffix_recip = np.concatenate((np.cumsum(recip[:, ::-1], axis=1)[:, ::-1], edge),
                                   axis=1)
 
@@ -323,7 +324,7 @@ def blind_rows(values) -> BlindRows:
     tau = np.where(pos, tau, 0.0)
     shrunk, keep, ratio = _shrink(values, np.sqrt(z), tau[:, None])
     # the soft threshold's divergence: 2 - tau/|y_d| above tau, 0 below
-    div_sum = np.subtract(2.0, ratio, out=np.zeros_like(ratio), where=keep).sum(axis=1)
+    div_sum = np.where(keep, 2.0 - ratio, 0.0).sum(axis=1)
     ey = z.sum(axis=1) / d
     resid = abs_squared(shrunk - values).sum(axis=1) / d
     safe = np.where(pos, n0, 1.0)

@@ -160,6 +160,9 @@ BAD_INPUTS = {
     "observation-power-overflow": (["sweep-snr", "--n0", "1e300", "--snr-db", "70"], None),
     "channel-n0-overflow": (["channel-mse", "--snr-db=-4000"], None),
     "active-power-overflow": (["sweep-snr", "--p", "1e-320", "--snr-db", "0"], None),
+    # ran with finite rows before the headroom rule; 2^10 x dim 64 x the
+    # entry power 1e306 exceeds DBL_MAX
+    "entry-power-headroom": (["sweep-snr", "--n0", "1e300", "--snr-db", "50"], None),
 }
 
 # A value other than the default for each setting of the settings table.
@@ -265,10 +268,6 @@ class TestConfigAndExitCodes:
         assert all(math.isfinite(float(r[k])) for r in read_rows(tmp_path / "s.csv")
                    for k in ("mean", "stddev"))
         assert main(argv + ["--n0", repr(limit * 1.01)]) == 2
-        # ran with finite rows before the rule, rejected now: 2^10 * 64 times
-        # the entry power 1e306 exceeds DBL_MAX
-        assert main(["sweep-snr", "--n0", "1e300", "--snr-db", "50", "--trials", "2",
-                     "--out", str(tmp_path / "t.csv")]) == 2
 
     def test_config_file_run_writes_flag_run_bytes(self, tmp_path):
         (tmp_path / "exp.cfg").write_text("trials=8\ndim=16\np=0.2\nn0=2\nsnr_db=-5,5\n"
