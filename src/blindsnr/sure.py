@@ -74,10 +74,10 @@ def _rows(values) -> np.ndarray:
     return values
 
 
-def _shrink(values: np.ndarray, r: np.ndarray, tau: np.ndarray):
-    """(y/|y|) max(|y| - tau, 0) for each row, given r = |y| and tau an
-    (R, 1) column. Also returns the entries kept (r > tau) and tau / r on
-    them, 0 elsewhere."""
+def _shrink(values: np.ndarray, r: np.ndarray, tau):
+    """(y/|y|) max(|y| - tau, 0) entrywise, given r = |y| and a tau that
+    broadcasts against it (an (R, 1) column for rows). Also returns the
+    entries kept (r > tau) and tau / r on them, 0 elsewhere."""
     keep = r > tau
     # kept entries have r > tau >= 0; the rest divide by 1 and are dropped
     ratio = np.where(keep, tau / np.where(keep, r, 1.0), 0.0)

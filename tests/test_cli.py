@@ -296,6 +296,7 @@ class TestConfigAndExitCodes:
         for experiment, bad in (("sweep_p", {"dim_points": (32, 64)}),
                                 ("sweep_dim", {"dim_points": (32, 64), "p_points": (0.1, 0.2)}),
                                 ("channel_mse", {"p_points": (0.1, 0.2)}),
+                                ("sweep_p", {"p_points": (0.1, 1e-320), "snr_points_db": (0.0,)}),
                                 ("channel_mse", {"snr_points_db": (-4000.0,)}),
                                 ("channel_mse", {"snr_points_db": (-3080.0,)}),
                                 ("channel_ber", {"snr_points_db": (4000.0,)})):
