@@ -121,7 +121,7 @@ class SweepConfig:
                 and "em" in self.estimators and min(dims) < 2):
             raise ConfigError("the em family needs dim >= 2; at dim 1 use "
                               "--estimators blind,genie")
-        chan = _channel(self) if self.experiment.startswith("channel") else None
+        chan = self.channel if self.experiment.startswith("channel") else None
         for snr_db in self.snr_points_db:
             try:
                 if chan:
@@ -139,6 +139,15 @@ class SweepConfig:
                 raise ConfigError(f"snr_db={snr_db}: {_HEADROOM:g} x dim x the entry "
                                   f"power {max(powers):g} leaves the float range")
 
+    @functools.cached_property
+    def channel(self) -> ChannelConfig:
+        """The channel experiments' shape: antennas = dim, users, paths."""
+        try:
+            return ChannelConfig(antennas=self.dim, users=self.users,
+                                 paths_per_user=self.paths_per_user)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
 
 # |y|^2 of a model entry is exponential with mean at most its power
 # (active + n0), so it passes _HEADROOM times that mean with probability
@@ -146,14 +155,6 @@ class SweepConfig:
 # that, a row sum of dim entries, the largest value the estimators form,
 # is finite if _HEADROOM * dim * power is. The channel applies it to n0.
 _HEADROOM = 2.0 ** 10
-
-
-def _channel(cfg: SweepConfig) -> ChannelConfig:
-    try:
-        return ChannelConfig(antennas=cfg.dim, users=cfg.users,
-                             paths_per_user=cfg.paths_per_user)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _extra(obj: dict) -> str:
@@ -305,7 +306,7 @@ def run_bounds_grid(cfg: SweepConfig) -> list:
 
 def run_channel(cfg: SweepConfig) -> list:
     """Channel MSE or uncoded BER for every denoising variant per SNR point."""
-    chan = _channel(cfg)
+    chan = cfg.channel
     base = RngStream(cfg.seed, stream_id=0)
     rows = []
     for snr_db in cfg.snr_points_db:
