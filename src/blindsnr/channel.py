@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import RngStream, abs_squared
 from .em import em_fit_rows, em_init_rows
-from .sure import denoise_blind_rows, search_rows, soft_threshold_rows
+from .sure import blind_rows, search_rows, soft_threshold_rows
 
 VARIANTS = ("perfect_csi", "ml", "beaches_known_n0", "beaches_blind", "beaches_em")
 
@@ -55,7 +55,6 @@ class ChannelConfig:
     antennas: int = 128
     users: int = 8
     paths_per_user: int = 1
-    path_power_profile: tuple | None = None
 
     def __post_init__(self):
         d = self.antennas
@@ -65,34 +64,20 @@ class ChannelConfig:
             raise ValueError("users must lie in [1, antennas]")
         if self.paths_per_user < 1:
             raise ValueError("paths_per_user must be at least 1")
-        if self.path_power_profile is not None:
-            prof = tuple(self.path_power_profile)
-            if len(prof) != self.paths_per_user:
-                raise ValueError("path_power_profile length must match paths_per_user")
-            if any(g <= 0 for g in prof):
-                raise ValueError("path gains must be positive")
-            object.__setattr__(self, "path_power_profile", prof)
-
-    def normalized_profile(self) -> np.ndarray:
-        if self.path_power_profile is None:
-            return np.full(self.paths_per_user, 1.0 / self.paths_per_user)
-        prof = np.asarray(self.path_power_profile, dtype=np.float64)
-        return prof / prof.sum()
 
 
 def gen_los_channel(cfg: ChannelConfig, rng: RngStream) -> np.ndarray:
     """Line-of-sight channels as a (users, antennas) array, E||h||^2 / D = 1.
 
     Angles are uniform on (-pi/2, pi/2); path gains are circularly
-    symmetric complex Gaussian with variances given by the normalized
-    path power profile. Path l of user u contributes its gain times the
-    half-wavelength ULA response, whose entry d is exp(i pi d sin theta).
+    symmetric complex Gaussian with equal path powers, 1 / paths each.
+    Path l of user u contributes its gain times the half-wavelength ULA
+    response, whose entry d is exp(i pi d sin theta).
     """
     g = rng.gen
-    prof = cfg.normalized_profile()
     u, l, d = cfg.users, cfg.paths_per_user, cfg.antennas
     thetas = g.uniform(-math.pi / 2, math.pi / 2, (u, l))
-    scale = np.sqrt(prof / 2.0)
+    scale = math.sqrt(1.0 / l / 2.0)
     alphas = (g.standard_normal((u, l)) + 1j * g.standard_normal((u, l))) * scale
     phase = math.pi * np.sin(thetas)[:, :, None] * np.arange(d)
     steer = np.cos(phase) + 1j * np.sin(phase)
@@ -140,8 +125,9 @@ def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: float):
             tau, _ = search_rows(y, n0)
             yield variant, soft_threshold_rows(y, tau), known
         elif variant == "beaches_blind":
-            denoised, n0_hat = denoise_blind_rows(y)
-            yield variant, denoised, n0_hat.tolist()
+            # rows whose noise estimate is zero come back unchanged
+            b = blind_rows(y)
+            yield variant, np.where(b.n0[:, None] > 0.0, b.shrunk, y), b.n0.tolist()
         else:  # beaches_em
             z = abs_squared(y)
             n0_em = [fit.n0_em for fit in em_fit_rows(z, em_init_rows(z))]

@@ -5,7 +5,7 @@ threshold search, the EM baseline, and the channel experiments) works on
 the small set of types defined here: a complex sample vector exposed as
 parallel real/imag arrays, the Bernoulli complex Gaussian sparsity
 parameters, a reproducible random stream keyed by (seed, stream_id), and
-a counter for the five categories of real-valued operations we track.
+a counter for the three categories of real-valued operations we track.
 
 All sampling functions are pure given an explicit :class:`RngStream`, so
 concurrent callers only need distinct stream ids.
@@ -158,22 +158,17 @@ class OpCounter:
     real_adds: int = 0
     real_mults: int = 0
     comparisons: int = 0
-    divisions: int = 0
-    exponentials: int = 0
 
     def reset(self) -> None:
         self.real_adds = 0
         self.real_mults = 0
         self.comparisons = 0
-        self.divisions = 0
-        self.exponentials = 0
 
     def snapshot(self) -> "OpCounter":
         return replace(self)
 
     def total(self) -> int:
-        return (self.real_adds + self.real_mults + self.comparisons
-                + self.divisions + self.exponentials)
+        return self.real_adds + self.real_mults + self.comparisons
 
 
 def sample_bcg(params: BcgParams, rng: RngStream) -> ComplexVector:

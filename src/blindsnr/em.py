@@ -156,7 +156,7 @@ def em_step(z, params: MixtureParams) -> MixtureParams:
     return MixtureParams(weight_active=p, var_small=s1, var_large=s2)
 
 
-def em_fit_rows(z, init, snr_from_total_power: bool = False) -> list:
+def em_fit_rows(z, init) -> list:
     """Fit the two-component exponential mixture to each row of z.
 
     Args:
@@ -164,7 +164,6 @@ def em_fit_rows(z, init, snr_from_total_power: bool = False) -> list:
         init: (R, 3) starting (weight_active, var_small, var_large) per
             row, each a valid :class:`MixtureParams` (see
             :func:`em_init_rows`).
-        snr_from_total_power: as in :func:`em_fit`.
 
     Returns one :class:`EmResult` per row, in row order.
     """
@@ -229,10 +228,7 @@ def em_fit_rows(z, init, snr_from_total_power: bool = False) -> list:
         full_updates = it - (collapse_ops[i] > 0)
         op_estimate = (4 * d + it * (18 * d + 2) + 18 * full_updates
                        + swaps[i] + collapse_ops[i])
-        if snr_from_total_power:
-            snr_raw = (sum_z[i] / d - s1[i]) / s1[i]
-        else:
-            snr_raw = p[i] * (s2[i] - s1[i]) / s1[i]
+        snr_raw = p[i] * (s2[i] - s1[i]) / s1[i]
         params = MixtureParams(weight_active=p[i], var_small=s1[i], var_large=s2[i])
         results.append(EmResult(params=params, iterations=it, converged=converged[i],
                                 n0_em=s1[i], snr_em=max(snr_raw, 0.0),
@@ -241,18 +237,18 @@ def em_fit_rows(z, init, snr_from_total_power: bool = False) -> list:
     return results
 
 
-def em_fit(z, init: MixtureParams, snr_from_total_power: bool = False) -> EmResult:
+def em_fit(z, init: MixtureParams) -> EmResult:
     """Fit the two-component exponential mixture to squared magnitudes.
 
     Args:
         z: non-negative |y|^2 samples.
         init: starting parameters (see :func:`em_default_init`).
-        snr_from_total_power: report SNR as (mean(z) - var_small)/var_small
-            instead of the default weight * (var_large - var_small)/var_small.
+
+    The SNR estimate is weight * (var_large - var_small) / var_small.
     """
     z = _validated_powers(z)
     start = [[init.weight_active, init.var_small, init.var_large]]
-    return em_fit_rows(z[None], start, snr_from_total_power)[0]
+    return em_fit_rows(z[None], start)[0]
 
 
 def em_init_rows(z) -> np.ndarray:

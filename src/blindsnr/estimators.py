@@ -78,11 +78,19 @@ def estimate_noise_power(y: ComplexVector) -> NoisePowerEstimate:
     return NoisePowerEstimate(value=med / LOG2, median_z=med)
 
 
+def _receive_power(y: ComplexVector) -> float:
+    """||y||^2 / D; ValueError when the sum of |y|^2 overflows."""
+    total = float(abs_squared(y).sum())
+    if not total < math.inf:
+        raise ValueError("input power is infinite: |y|^2 overflows")
+    return total / y.dim
+
+
 def estimate_signal_power(y: ComplexVector, n0_hat: float) -> SignalPowerEstimate:
     """Sample receive power minus the noise power estimate, clipped at zero."""
     if not 0.0 <= n0_hat < math.inf:
         raise ValueError("n0_hat must be non-negative and finite")
-    raw = float(abs_squared(y).sum()) / y.dim - n0_hat
+    raw = _receive_power(y) - n0_hat
     return SignalPowerEstimate(value=max(raw, 0.0), raw=raw)
 
 
@@ -95,8 +103,7 @@ def estimate_snr(y: ComplexVector, n0_hat: float) -> SnrEstimate:
     """
     if not 0.0 < n0_hat < math.inf:
         raise ValueError("n0_hat must be strictly positive and finite")
-    ey = float(abs_squared(y).sum()) / y.dim
-    raw = ey / n0_hat - 1.0
+    raw = _receive_power(y) / n0_hat - 1.0
     return SnrEstimate(value=max(raw, 0.0), raw=raw)
 
 

@@ -21,10 +21,10 @@ median-based noise estimate, so a single sort serves both jobs.
 
 The kernels work on an (R, D) block of rows, with one noise power or
 threshold per row, and reject any other shape: :func:`search_rows`,
-:func:`soft_threshold_rows`, :func:`denoise_blind_rows` and
-:func:`blind_rows`, the whole blind pipeline (noise, signal power, SNR
-and risk estimate from one |y|^2 and one sort). The per-vector functions
-are one-row calls into the same kernels.
+:func:`soft_threshold_rows` and :func:`blind_rows`, the whole blind
+pipeline (noise, signal power, SNR and risk estimate from one |y|^2 and
+one sort). The per-vector functions are one-row calls into the same
+kernels.
 """
 
 from __future__ import annotations
@@ -241,35 +241,6 @@ def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
                                  n0_used=float(n0), candidates_evaluated=y.dim + 2)
 
 
-def _sort_search(values: np.ndarray):
-    """|y|^2, one sort of it, the median noise estimate and the threshold
-    search at that estimate, for each row.
-
-    Returns (z, median_z, n0, tau, sure), the last four one per row. A
-    zero noise estimate searches harmlessly (tau = 0); callers mask those
-    rows.
-    """
-    z = abs_squared(values)
-    zs = np.sort(z, axis=1)
-    median_z = median_from_sorted(zs)
-    n0 = median_z / LOG2
-    tau, sure = _search_sorted(np.sqrt(zs), n0[:, None])
-    return z, median_z, n0, tau, sure
-
-
-def denoise_blind_rows(values):
-    """Blind soft-threshold denoising of each row of a complex (R, D) array.
-
-    Returns (denoised rows, noise estimate per row); see
-    :func:`denoise_blind`. Rows whose noise estimate is zero come back
-    unchanged.
-    """
-    values = _rows(values)
-    z, _, n0, tau, _ = _sort_search(values)
-    denoised = _shrink(values, np.sqrt(z), tau[:, None])[0]
-    return np.where(n0[:, None] > 0.0, denoised, values), n0
-
-
 def denoise_blind(y: ComplexVector):
     """Soft-threshold denoising with both parameters learned from y alone.
 
@@ -317,7 +288,11 @@ def blind_rows(values) -> BlindRows:
     """
     values = _rows(values)
     d = values.shape[1]
-    z, median_z, n0, tau, sure = _sort_search(values)
+    z = abs_squared(values)
+    zs = np.sort(z, axis=1)
+    median_z = median_from_sorted(zs)
+    n0 = median_z / LOG2
+    tau, sure = _search_sorted(np.sqrt(zs), n0[:, None])
     # a zero noise estimate (at least half the entries zero) gets no
     # threshold, SNR or risk
     pos = n0 > 0.0

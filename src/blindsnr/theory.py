@@ -62,7 +62,8 @@ def power_cdf(z, params: BcgParams):
 
 
 def exact_power_median(params: BcgParams) -> float:
-    """Unique root of F(m) = 1/2, found by bisection to 1e-12 absolute.
+    """Unique root of F(m) = 1/2, found by bisection to 1e-12 absolute, or
+    to adjacent floats where one ulp of the median exceeds that.
 
     The CDF is strictly increasing, F(0) = 0, and the mixture median never
     exceeds the slow component's median (N0 + Eh) log 2, so the bracket
@@ -72,6 +73,8 @@ def exact_power_median(params: BcgParams) -> float:
     hi = (params.noise_power + params.active_power) * LOG2 + 1.0
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: 1e-12 is below one ulp here
+            break
         if power_cdf(mid, params) < 0.5:
             lo = mid
         else:

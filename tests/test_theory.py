@@ -8,12 +8,14 @@ import pytest
 from blindsnr import (
     ACTIVITY_RATE_LIMIT,
     LOG2,
+    BcgParams,
     BoundViolationError,
     exact_power_median,
     power_cdf,
     theorem1_bounds,
     verify_sandwich,
 )
+from blindsnr.cli import main as cli_main
 
 from conftest import bcg_params
 
@@ -37,6 +39,15 @@ class TestExactPowerMedian:
         # against an independent solver during development
         params = bcg_params(64, 0.1, 1.0)
         assert exact_power_median(params) == pytest.approx(0.7936771669, abs=1e-9)
+
+    def test_large_median_terminates(self, tmp_path):
+        # one ulp of a median above about 4.5e3 exceeds the 1e-12 stop, so
+        # the bisection ends on adjacent floats; all active: (N0 + Eh) ln 2
+        params = BcgParams(dim=64, activity_rate=1.0, active_power=1e10,
+                           noise_power=1e10)
+        assert exact_power_median(params) == pytest.approx(2e10 * LOG2, rel=1e-12)
+        assert cli_main(["bounds", "--n0", "1e5", "--snr-db", "0", "--trials", "2",
+                         "--out", str(tmp_path / "b.csv")]) == 0
 
     def test_matches_empirical_median_of_ten_million_samples(self):
         params = bcg_params(64, 0.1, 1.0)
