@@ -3,10 +3,12 @@
 The CSV bytes for a fixed config and seed are the behaviour contract, so a
 refactor that keeps them keeps the experiments. The channel configs use
 several users, several paths and two SNR points, so a change in how a
-trial is drawn or in which variant sees which draw shows up here. Six
+trial is drawn or in which variant sees which draw shows up here. Eight
 more cases sit at the edges of the row-batched kernels: one-row channel
 blocks, D = 2, a one-trial EM block of odd length, an estimator block
-boundary inside a model point, dims 1 and 2, and family subsets.
+boundary inside a model point, a channel block boundary between trials
+(blocks of 2 and 1 trials) in both channel experiments, dims 1 and 2,
+and family subsets.
 
 An intended change to the output bumps ``experiment_version`` and
 re-records the files:
@@ -57,6 +59,14 @@ GOLDEN = {
     "sweep-p-blind-em": ["sweep-p", "--trials", "4", "--dim", "16",
                          "--p", "0.05,0.5,1.0", "--snr-db", "10",
                          "--estimators", "blind,em", "--seed", "10"],
+    # channel block edges: 2 points x 64 users x 1024 antennas fill 2^18
+    # entries per 2 trials, so 3 trials split into blocks of 2 and 1
+    "channel-mse-block-edge": ["channel-mse", "--trials", "3", "--dim", "1024",
+                               "--users", "64", "--paths", "1",
+                               "--snr-db", "0,10", "--seed", "11"],
+    "channel-ber-block-edge": ["channel-ber", "--trials", "3", "--dim", "1024",
+                               "--users", "64", "--paths", "1",
+                               "--snr-db", "0,10", "--seed", "12"],
 }
 
 
