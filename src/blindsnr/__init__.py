@@ -55,9 +55,11 @@ from .channel import (
     VARIANTS,
     ChannelConfig,
     beamspace,
+    ber_by_points,
     ber_by_variant,
     gen_los_channel,
     inverse_beamspace,
+    mse_by_points,
     mse_by_variant,
 )
 

@@ -15,14 +15,18 @@ Two experiments evaluate a tuple of denoising variants:
   observations and for the per-antenna data noise (so the per-antenna
   receive SNR of the data equals the configured value).
 
-Each trial is drawn once from its own substream, in trial order: the
-channels, their beamspace and the observation noise (and, for the BER,
-the data bits and data noise) are shared by every variant evaluated on
-it. Each variant is evaluated once per trial, on the whole (users,
-antennas) observation block, through the row kernels of
-:mod:`blindsnr.sure` and :mod:`blindsnr.em`. The estimators use no
-randomness, so a variant's result does not depend on which other
-variants run beside it.
+Each trial is drawn once per run from its own substream, in trial order:
+the channels, their beamspace and the observation-noise normals (and,
+for the BER, the data bits and data-noise normals) are shared by every
+SNR point and every variant evaluated on it, and each point scales the
+same normals by its own noise power. Trials are drawn in blocks of at
+most 2^18 entries (points x trials x users x antennas), and each variant
+is evaluated once per block, on the stacked (points x trials x users,
+antennas) observation rows, through the row kernels of
+:mod:`blindsnr.sure` and :mod:`blindsnr.em`; the detection runs once per
+variant and block on the stacked (points, trials) systems. The
+estimators use no randomness, so a variant's result depends neither on
+the other variants or points beside it nor on the block sizes.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, abs_squared
+from .core import RngStream, abs_squared, trial_blocks
 from .em import em_fit_rows, em_init_rows
 from .sure import blind_rows, search_rows, soft_threshold_rows
 
@@ -109,30 +113,32 @@ def inverse_beamspace(x) -> np.ndarray:
     return np.fft.ifft(x, axis=-1) * math.sqrt(x.shape[-1])
 
 
-def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: float):
-    """Yield (variant, estimate, n0 used per user) for each variant.
+def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: np.ndarray):
+    """Yield (variant, estimate, n0 used per row) for each variant.
 
-    ``x`` and ``y`` are the (users, antennas) beamspace channels and their
-    noisy observations; each estimate has the same shape.
+    ``y`` holds noisy beamspace observations, (..., antennas), and ``x``
+    the channels they observe (broadcast against ``y``); each estimate has
+    the shape of ``y``. ``n0`` is the true noise power of each row of
+    ``y``, in row order. Each variant's row kernels run once on all rows.
     """
-    known = [n0] * len(y)
+    rows = y.reshape(-1, y.shape[-1])
     for variant in variants:
+        n0_var = n0
         if variant == "perfect_csi":
-            yield variant, x, known
+            est = np.broadcast_to(x, y.shape)
         elif variant == "ml":
-            yield variant, y, known
-        elif variant == "beaches_known_n0":
-            tau, _ = search_rows(y, n0)
-            yield variant, soft_threshold_rows(y, tau), known
+            est = y
         elif variant == "beaches_blind":
             # rows whose noise estimate is zero come back unchanged
-            b = blind_rows(y)
-            yield variant, np.where(b.n0[:, None] > 0.0, b.shrunk, y), b.n0.tolist()
-        else:  # beaches_em
-            z = abs_squared(y)
-            n0_em = [fit.n0_em for fit in em_fit_rows(z, em_init_rows(z))]
-            tau, _ = search_rows(y, n0_em)
-            yield variant, soft_threshold_rows(y, tau), n0_em
+            b = blind_rows(rows)
+            est, n0_var = np.where(b.n0[:, None] > 0.0, b.shrunk, rows), b.n0
+        else:
+            if variant == "beaches_em":
+                z = abs_squared(rows)
+                n0_var = np.array([fit.n0_em for fit in em_fit_rows(z, em_init_rows(z))])
+            tau, _ = search_rows(rows, n0_var)
+            est = soft_threshold_rows(rows, tau)
+        yield variant, est.reshape(y.shape), n0_var
 
 
 def noise_power(cfg: ChannelConfig, snr_db: float, metric: str) -> float:
@@ -147,59 +153,89 @@ def noise_power(cfg: ChannelConfig, snr_db: float, metric: str) -> float:
     return n0
 
 
-def _trials(cfg: ChannelConfig, variants: tuple, n0: float, trials: int,
-            rng: RngStream):
-    """Yield each trial's draw, shared by every variant evaluated on it.
+def _blocks(cfg: ChannelConfig, variants: tuple, n0s: list, trials: int,
+            rng: RngStream, data: bool):
+    """Yield each block of trials, drawn once and shared by every SNR point
+    and every variant evaluated on it.
 
-    A draw is (generator, channels, beamspace, observations): the trial's
-    generator, left where the observation noise ends, and the (users,
-    antennas) channels, their beamspace and its noisy observation with
-    noise power ``n0``.
+    A block is (beamspace, observations, n0 per row, link): the
+    (trials, users, antennas) beamspace channels; their (points, trials,
+    users, antennas) observations, point k with noise power ``n0s[k]``;
+    that noise power for each observation row, in row order; and, with
+    ``data``, the link (channels, each trial's (users, 4) bits, its
+    antennas' unit-power complex data noise), else None. Trial t draws
+    from ``rng.substream(t)`` in the order channels, observation noise,
+    bits, data noise, whatever the block sizes.
     """
     if not variants or not set(variants) <= set(VARIANTS):
         raise ValueError(f"variants must be a non-empty tuple drawn from {VARIANTS}, "
                          f"got {variants!r}")
+    if "beaches_em" in variants and cfg.antennas < 2:
+        raise ValueError("beaches_em needs at least 2 antennas")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    noise_scale = math.sqrt(n0 / 2.0)
-    for t in range(trials):
-        st = rng.substream(t)
-        h = gen_los_channel(cfg, st)
-        x = beamspace(h)
+    if not n0s:
+        raise ValueError("snr_points_db must be non-empty")
+    u, d = cfg.users, cfg.antennas
+    for block in trial_blocks(trials, len(n0s) * u * d):
+        h = np.empty((len(block), u, d), dtype=np.complex128)
         # per user, the real parts of the noise and then the imaginary parts
-        w = st.gen.standard_normal((cfg.users, 2, cfg.antennas))
-        yield st.gen, h, x, x + noise_scale * (w[:, 0] + 1j * w[:, 1])
+        w = np.empty((len(block), u, 2, d))
+        bits = np.empty((len(block), u, 4), dtype=np.int64)
+        w_data = np.empty((len(block), 2, d))
+        for row, t in enumerate(block):
+            st = rng.substream(t)
+            h[row] = gen_los_channel(cfg, st)
+            st.gen.standard_normal(out=w[row])
+            if data:
+                bits[row] = st.gen.integers(0, 2, (u, 4))
+                st.gen.standard_normal(out=w_data[row])
+        x = beamspace(h)
+        noise = w[:, :, 0] + 1j * w[:, :, 1]
+        y = np.stack([x + math.sqrt(n0 / 2.0) * noise for n0 in n0s])
+        link = (h, bits, w_data[:, 0] + 1j * w_data[:, 1]) if data else None
+        yield x, y, np.repeat(n0s, len(block) * u), link
+
+
+def mse_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,
+                  trials: int, rng: RngStream) -> list:
+    """Average beamspace channel MSE of each variant at each SNR point.
+
+    The observation is y = x + n in beamspace with n0 = 1 / snr (the
+    beamspace vector has unit average entry power by construction). Every
+    point observes the same trials. Returns one dict per point, keyed by
+    variant in the order given.
+    """
+    n0s = [noise_power(cfg, snr_db, "mse") for snr_db in snr_points_db]
+    d = cfg.antennas
+    mse_sum = {v: [0.0] * len(n0s) for v in variants}
+    n0_used = {v: [] for v in variants}
+    for x, y, known, _ in _blocks(cfg, variants, n0s, trials, rng, data=False):
+        for v, xhat, n0_var in _estimates(variants, x, y, known):
+            err = xhat - x
+            per_user = (err.real * err.real + err.imag * err.imag).sum(axis=-1) / d
+            for k, point in enumerate(per_user.reshape(len(n0s), -1).tolist()):
+                for mse in point:  # the running sum adds trials, then users, in order
+                    mse_sum[v][k] += mse
+            n0_used[v].append(np.reshape(n0_var, (len(n0s), -1)))
+    out = [{} for _ in n0s]
+    for v in variants:
+        used = np.concatenate(n0_used[v], axis=1)
+        for k, n0 in enumerate(n0s):
+            out[k][v] = {
+                "channel_mse": mse_sum[v][k] / (trials * cfg.users),
+                "n0_mean": float(used[k].mean()),
+                "n0_std": float(used[k].std(ddof=1)) if used.shape[1] > 1 else 0.0,
+                "n0_true": n0,
+            }
+    return out
 
 
 def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
                    trials: int, rng: RngStream) -> dict:
-    """Average beamspace channel MSE of each variant at one SNR point.
-
-    The observation is y = x + n in beamspace with n0 = 1 / snr (the
-    beamspace vector has unit average entry power by construction).
-    Returns a dict keyed by variant, in the order given.
-    """
-    n0 = noise_power(cfg, snr_db, "mse")
-    d = cfg.antennas
-    mse_sum = dict.fromkeys(variants, 0.0)
-    n0_used = {v: [] for v in variants}
-    for _, _, x, y in _trials(cfg, variants, n0, trials, rng):
-        for v, xhat, n0_var in _estimates(variants, x, y, n0):
-            err = xhat - x
-            per_user = (err.real * err.real + err.imag * err.imag).sum(axis=-1) / d
-            for mse in per_user.tolist():  # the running sum adds users in order
-                mse_sum[v] += mse
-            n0_used[v].extend(n0_var)
-    out = {}
-    for v in variants:
-        used = np.asarray(n0_used[v])
-        out[v] = {
-            "channel_mse": mse_sum[v] / (trials * cfg.users),
-            "n0_mean": float(used.mean()),
-            "n0_std": float(used.std(ddof=1)) if used.size > 1 else 0.0,
-            "n0_true": n0,
-        }
-    return out
+    """Average beamspace channel MSE of each variant at one SNR point; a
+    one-point call into :func:`mse_by_points`."""
+    return mse_by_points(cfg, variants, (snr_db,), trials, rng)[0]
 
 
 def qam16_modulate(bits: np.ndarray) -> np.ndarray:
@@ -223,31 +259,41 @@ def qam16_demodulate(symbols: np.ndarray) -> np.ndarray:
     return np.concatenate((_BITS_BY_LEVEL[i_idx], _BITS_BY_LEVEL[q_idx]), axis=1)
 
 
-def ber_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
-                   trials: int, rng: RngStream) -> dict:
-    """Uncoded 16-QAM bit error rate with LMMSE detection for each variant.
+def ber_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,
+                  trials: int, rng: RngStream) -> list:
+    """Uncoded 16-QAM bit error rate with LMMSE detection for each variant
+    at each SNR point.
 
     A single knob sets n0 = users / snr: the per-antenna data noise then
     matches the configured receive SNR, and the per-user beamspace channel
-    observations use the same n0. Returns a dict keyed by variant, in the
-    order given.
+    observations use the same n0. Every point sends the same bits over the
+    same trials. Returns one dict per point, keyed by variant in the order
+    given.
     """
-    n0 = noise_power(cfg, snr_db, "ber")
-    d, u = cfg.antennas, cfg.users
-    noise_scale = math.sqrt(n0 / 2.0)
-    reg = u * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR
-    errors = dict.fromkeys(variants, 0)
-    for g, h, x, y in _trials(cfg, variants, n0, trials, rng):
-        bits = g.integers(0, 2, (u, 4))
-        sym = qam16_modulate(bits)
-        w_data = noise_scale * (g.standard_normal(d) + 1j * g.standard_normal(d))
+    n0s = [noise_power(cfg, snr_db, "ber") for snr_db in snr_points_db]
+    u = cfg.users
+    ridge = np.stack([(u * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR) * np.eye(u)
+                      for n0 in n0s])[:, None]
+    errors = {v: np.zeros(len(n0s), dtype=np.int64) for v in variants}
+    for x, y, known, (h, bits, noise) in _blocks(cfg, variants, n0s, trials, rng,
+                                                 data=True):
+        sym = qam16_modulate(bits.reshape(-1, 4)).reshape(bits.shape[:2])
         # C-contiguous (antennas, users) copies: BLAS rounds transposed views differently
-        r = np.ascontiguousarray(h.T) @ sym + w_data
-        for v, x_hat, _ in _estimates(variants, x, y, n0):
-            h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).T)
-            gram = h_hat.conj().T @ h_hat + reg * np.eye(u)
-            sym_hat = np.linalg.solve(gram, h_hat.conj().T @ r)
-            errors[v] += int((qam16_demodulate(sym_hat) != bits).sum())
+        hs = (np.ascontiguousarray(h.swapaxes(1, 2)) @ sym[..., None])[..., 0]
+        r = np.stack([hs + math.sqrt(n0 / 2.0) * noise for n0 in n0s])
+        for v, x_hat, _ in _estimates(variants, x, y, known):
+            h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).swapaxes(-1, -2))
+            h_adj = h_hat.conj().swapaxes(-1, -2)
+            sym_hat = np.linalg.solve(h_adj @ h_hat + ridge, h_adj @ r[..., None])
+            bits_hat = qam16_demodulate(sym_hat.reshape(-1)).reshape(y.shape[:3] + (4,))
+            errors[v] += (bits_hat != bits).sum(axis=(1, 2, 3))
     total = 4 * u * trials
-    return {v: {"ber": errors[v] / total, "bit_errors": errors[v], "bits": total}
-            for v in variants}
+    return [{v: {"ber": int(errors[v][k]) / total, "bit_errors": int(errors[v][k]),
+                 "bits": total} for v in variants} for k in range(len(n0s))]
+
+
+def ber_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
+                   trials: int, rng: RngStream) -> dict:
+    """Uncoded 16-QAM bit error rate of each variant at one SNR point; a
+    one-point call into :func:`ber_by_points`."""
+    return ber_by_points(cfg, variants, (snr_db,), trials, rng)[0]

@@ -17,7 +17,9 @@ in trial order, so a given config always produces byte-identical output.
 The estimator sweeps draw each trial once per dim: every model point of
 that dim (each SNR, p and n0) scales the same draws, exactly as if it had
 drawn them from the trial's stream itself, and all points are evaluated
-together on blocks of at most 2^18 entries.
+together on blocks of at most 2^18 entries. The channel experiments
+likewise draw each trial once per run and evaluate every SNR point on
+the same draws, in one call per run.
 
 Every setting is read from one table, ``_SETTINGS``: a ``--config`` file
 holds ``key=value`` lines whose keys are the flag names (``snr_db`` for
@@ -44,9 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (VARIANTS, ChannelConfig, ber_by_variant, mse_by_variant,
-                      noise_power)
-from .core import BcgParams, RngStream, bcg_rows, draw_trials
+from .channel import VARIANTS, ChannelConfig, ber_by_points, mse_by_points, noise_power
+from .core import BcgParams, RngStream, bcg_rows, draw_trials, trial_blocks
 from .em import em_fit_rows, em_init_rows
 from .estimators import genie_rows
 from .sure import blind_rows, search_rows
@@ -121,6 +122,9 @@ class SweepConfig:
                 and "em" in self.estimators and min(dims) < 2):
             raise ConfigError("the em family needs dim >= 2; at dim 1 use "
                               "--estimators blind,genie")
+        if self.experiment.startswith("channel") and self.dim < 2:
+            raise ConfigError("the channel experiments run beaches_em, which needs "
+                              "dim >= 2 antennas")
         chan = self.channel if self.experiment.startswith("channel") else None
         for snr_db in self.snr_points_db:
             try:
@@ -186,10 +190,6 @@ def _stats(table: np.ndarray):
     return mean, np.ldexp(scaled.std(axis=-1, ddof=1), shift)
 
 
-# Entries (model points x trials x dim) per block of the estimator sweeps:
-# one block holds every trial of a usual sweep, and the block's temporaries
-# stay a few MB however many trials are asked for.
-_BLOCK_ENTRIES = 1 << 18
 _QUANTITIES = ("n0", "es", "snr", "mse")
 
 
@@ -213,9 +213,7 @@ def _trial_table(cfg: SweepConfig, points: list, families: tuple) -> np.ndarray:
     """
     dim = points[0].dim
     table = np.empty((len(points), len(families), len(_QUANTITIES), cfg.trials))
-    block = max(1, _BLOCK_ENTRIES // (len(points) * dim))
-    for start in range(0, cfg.trials, block):
-        trials = range(start, min(start + block, cfg.trials))
+    for trials in trial_blocks(cfg.trials, len(points) * dim):
         draws = draw_trials(cfg.seed, trials, dim)
         s, n = (np.concatenate(rows)
                 for rows in zip(*(bcg_rows(params, draws) for params in points)))
@@ -230,7 +228,7 @@ def _trial_table(cfg: SweepConfig, points: list, families: tuple) -> np.ndarray:
             found["genie"] = (n0, es, snr, e0)
         for f, family in enumerate(families):
             columns = np.reshape(found[family], (len(_QUANTITIES), len(points), -1))
-            table[:, f, :, start:trials.stop] = columns.transpose(1, 0, 2)
+            table[:, f, :, trials.start:trials.stop] = columns.transpose(1, 0, 2)
     return table
 
 
@@ -308,10 +306,11 @@ def run_channel(cfg: SweepConfig) -> list:
     """Channel MSE or uncoded BER for every denoising variant per SNR point."""
     chan = cfg.channel
     base = RngStream(cfg.seed, stream_id=0)
+    points = [float(snr_db) for snr_db in cfg.snr_points_db]
     rows = []
-    for snr_db in cfg.snr_points_db:
-        if cfg.experiment == "channel_mse":
-            results = mse_by_variant(chan, VARIANTS, float(snr_db), cfg.trials, base)
+    if cfg.experiment == "channel_mse":
+        for snr_db, results in zip(cfg.snr_points_db,
+                                   mse_by_points(chan, VARIANTS, points, cfg.trials, base)):
             for variant, res in results.items():
                 mse = res["channel_mse"]
                 extra = _extra({
@@ -322,8 +321,9 @@ def run_channel(cfg: SweepConfig) -> list:
                 rows.append(_row(cfg, snr_db, None, chan.antennas, variant,
                                  "channel_mse", mse, 0.0,
                                  0.0 if variant == "perfect_csi" else None, extra))
-        else:
-            results = ber_by_variant(chan, VARIANTS, float(snr_db), cfg.trials, base)
+    else:
+        for snr_db, results in zip(cfg.snr_points_db,
+                                   ber_by_points(chan, VARIANTS, points, cfg.trials, base)):
             for variant, res in results.items():
                 extra = _extra({"bits": res["bits"], "bit_errors": res["bit_errors"]})
                 rows.append(_row(cfg, snr_db, None, chan.antennas, variant, "ber",

@@ -198,6 +198,20 @@ def sample_noise(n0: float, dim: int, rng: RngStream) -> ComplexVector:
     return ComplexVector(scale * g.standard_normal(dim), scale * g.standard_normal(dim))
 
 
+# Entries per block of stacked trials: model points x trials x dim in the
+# estimator sweeps, SNR points x trials x users x antennas in the channel
+# experiments. One block holds every trial of a usual run, and the block's
+# temporaries stay a few MB however many trials are asked for.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def trial_blocks(trials: int, entries_per_trial: int) -> list:
+    """Consecutive ranges covering ``range(trials)``, each of at least one
+    trial and, where a trial fits, of at most 2^18 entries."""
+    block = max(1, _BLOCK_ENTRIES // entries_per_trial)
+    return [range(start, min(start + block, trials)) for start in range(0, trials, block)]
+
+
 def draw_trials(seed: int, trials: range, dim: int) -> np.ndarray:
     """The draws :func:`sample_bcg` then :func:`sample_noise` make on each
     trial's stream ``RngStream(seed, stream_id=t)``, into preallocated rows.

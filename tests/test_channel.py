@@ -1,6 +1,7 @@
 """Beamspace transform, synthetic channels, QAM mapping, and the pipelines."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from blindsnr import (
     ComplexVector,
     RngStream,
     beamspace,
+    ber_by_points,
     ber_by_variant,
     gen_los_channel,
     inverse_beamspace,
+    mse_by_points,
     mse_by_variant,
     search_threshold,
     soft_threshold,
 )
+from blindsnr import core
 from blindsnr.channel import VARIANTS, qam16_demodulate, qam16_modulate
 
 
@@ -44,6 +48,14 @@ class TestConfigValidation:
                 run(cfg, ("ml",), 0.0, 0, RngStream(0))
             assert list(run(cfg, ("beaches_blind",), 0.0, 1, RngStream(0))) == [
                 "beaches_blind"]
+
+    def test_em_variant_needs_two_antennas(self):
+        cfg = ChannelConfig(antennas=1, users=1, paths_per_user=1)
+        for run in (mse_by_variant, ber_by_variant):
+            with pytest.raises(ValueError, match="beaches_em"):
+                run(cfg, ("ml", "beaches_em"), 0.0, 2, RngStream(0))
+            for variants in (("ml",), ("beaches_blind",)):
+                assert list(run(cfg, variants, 0.0, 2, RngStream(0))) == list(variants)
 
 
 class TestSteeringAndBeamspace:
@@ -236,3 +248,35 @@ class TestBer:
         alone = ber_by_variant(self.CFG, ("beaches_blind",), 0.0, 20, RngStream(86))
         together = ber_by_variant(self.CFG, VARIANTS, 0.0, 20, RngStream(86))
         assert alone["beaches_blind"] == together["beaches_blind"]
+
+
+class TestStackedPoints:
+    """Every SNR point and every trial of a block run on one stacked array;
+    the results must be those of one point, and of one trial, at a time."""
+
+    SNRS = (-10.0, 0.0, 7.5, 30.0)
+
+    @pytest.mark.parametrize("antennas,users", [(2, 1), (2, 2), (32, 1), (32, 3)])
+    @pytest.mark.parametrize("points,one", [(mse_by_points, mse_by_variant),
+                                            (ber_by_points, ber_by_variant)])
+    def test_points_equal_one_point_calls(self, antennas, users, points, one):
+        cfg = ChannelConfig(antennas=antennas, users=users, paths_per_user=2)
+        stacked = points(cfg, VARIANTS, self.SNRS, 5, RngStream(85))
+        assert stacked == [one(cfg, VARIANTS, snr, 5, RngStream(85)) for snr in self.SNRS]
+
+    @pytest.mark.parametrize("points", [mse_by_points, ber_by_points])
+    def test_independent_of_block_size(self, points):
+        cfg = ChannelConfig(antennas=32, users=3, paths_per_user=2)
+        per_trial = len(self.SNRS) * cfg.users * cfg.antennas
+        found = []
+        # one block of 3 trials, then blocks of 1 trial, then of 2 and 1
+        for entries in (core._BLOCK_ENTRIES, 1, 2 * per_trial):
+            with mock.patch.object(core, "_BLOCK_ENTRIES", entries):
+                found.append(points(cfg, VARIANTS, self.SNRS, 3, RngStream(84)))
+        assert found[1] == found[0] and found[2] == found[0]
+
+    def test_rejects_empty_points(self):
+        cfg = ChannelConfig(antennas=16, users=2)
+        for points in (mse_by_points, ber_by_points):
+            with pytest.raises(ValueError):
+                points(cfg, ("ml",), (), 1, RngStream(0))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindsnr import RngStream, abs_squared, add, sample_bcg, sample_noise
-from blindsnr import cli
+from blindsnr import cli, core
 from blindsnr.cli import CSV_COLUMNS, ConfigError, SweepConfig, main, run_sweep_snr
 from blindsnr.em import em_fit_rows, em_init_rows
 from blindsnr.sure import search_rows
@@ -231,6 +231,15 @@ class TestConfigAndExitCodes:
         assert main(["sweep-dim", "--trials", "3", "--dim", "1,2", "--snr-db", "0",
                      "--estimators", "blind,genie", "--out", out]) == 0
 
+    @pytest.mark.parametrize("command", ["channel-mse", "channel-ber"])
+    def test_channel_needs_dim_two(self, tmp_path, capsys, command):
+        # both channel experiments run beaches_em, which needs two antennas
+        out = tmp_path / "x.csv"
+        assert main([command, "--dim", "1", "--users", "1", "--paths", "1",
+                     "--trials", "2", "--snr-db", "0", "--out", str(out)]) == 2
+        assert "beaches_em" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,config", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_exits_two_without_csv(self, tmp_path, capsys, argv, config):
         out = tmp_path / "x.csv"
@@ -423,8 +432,8 @@ class TestTrialTableMatchesPerTrialLoop:
         cfg = SweepConfig(experiment="sweep_snr", trials=trials, dim=dim, n0=n0,
                           seed=seed, estimators=families)
         params = [cli._model_point(cfg, snr_db, p, dim) for snr_db, p in points]
-        entries = cli._BLOCK_ENTRIES if block_entries is None else block_entries
-        with mock.patch.object(cli, "_BLOCK_ENTRIES", entries):  # split into blocks
+        entries = core._BLOCK_ENTRIES if block_entries is None else block_entries
+        with mock.patch.object(core, "_BLOCK_ENTRIES", entries):  # split into blocks
             table = cli._trial_table(cfg, params, families)
         assert table.shape == (len(points), len(families), 4, trials)
         for i, prm in enumerate(params):
