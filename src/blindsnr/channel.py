@@ -218,17 +218,12 @@ def mse_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,
                 for mse in point:  # the running sum adds trials, then users, in order
                     mse_sum[v][k] += mse
             n0_used[v].append(np.reshape(n0_var, (len(n0s), -1)))
-    out = [{} for _ in n0s]
-    for v in variants:
-        used = np.concatenate(n0_used[v], axis=1)
-        for k, n0 in enumerate(n0s):
-            out[k][v] = {
-                "channel_mse": mse_sum[v][k] / (trials * cfg.users),
-                "n0_mean": float(used[k].mean()),
-                "n0_std": float(used[k].std(ddof=1)) if used.shape[1] > 1 else 0.0,
-                "n0_true": n0,
-            }
-    return out
+    used = {v: np.concatenate(n0_used[v], axis=1) for v in variants}
+    return [{v: {"channel_mse": mse_sum[v][k] / (trials * cfg.users),
+                 "n0_mean": float(used[v][k].mean()),
+                 "n0_std": float(used[v][k].std(ddof=1)) if used[v].shape[1] > 1 else 0.0,
+                 "n0_true": n0}
+             for v in variants} for k, n0 in enumerate(n0s)]
 
 
 def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,

@@ -306,11 +306,12 @@ def run_channel(cfg: SweepConfig) -> list:
     """Channel MSE or uncoded BER for every denoising variant per SNR point."""
     chan = cfg.channel
     base = RngStream(cfg.seed, stream_id=0)
-    points = [float(snr_db) for snr_db in cfg.snr_points_db]
+    by_points = mse_by_points if cfg.experiment == "channel_mse" else ber_by_points
+    points = by_points(chan, VARIANTS, [float(snr_db) for snr_db in cfg.snr_points_db],
+                       cfg.trials, base)
     rows = []
-    if cfg.experiment == "channel_mse":
-        for snr_db, results in zip(cfg.snr_points_db,
-                                   mse_by_points(chan, VARIANTS, points, cfg.trials, base)):
+    for snr_db, results in zip(cfg.snr_points_db, points):
+        if cfg.experiment == "channel_mse":
             for variant, res in results.items():
                 mse = res["channel_mse"]
                 extra = _extra({
@@ -321,9 +322,7 @@ def run_channel(cfg: SweepConfig) -> list:
                 rows.append(_row(cfg, snr_db, None, chan.antennas, variant,
                                  "channel_mse", mse, 0.0,
                                  0.0 if variant == "perfect_csi" else None, extra))
-    else:
-        for snr_db, results in zip(cfg.snr_points_db,
-                                   ber_by_points(chan, VARIANTS, points, cfg.trials, base)):
+        else:
             for variant, res in results.items():
                 extra = _extra({"bits": res["bits"], "bit_errors": res["bit_errors"]})
                 rows.append(_row(cfg, snr_db, None, chan.antennas, variant, "ber",
