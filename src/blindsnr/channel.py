@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, abs_squared, trial_blocks
-from .em import em_fit_rows, em_init_rows
-from .sure import blind_rows, search_rows, soft_threshold_rows
+from .core import RngStream, trial_blocks
+from .em import _fit_rows, _init_rows
+from .sure import _search_sorted, blind_rows, soft_threshold_rows
 
 VARIANTS = ("perfect_csi", "ml", "beaches_known_n0", "beaches_blind", "beaches_em")
 
@@ -122,6 +122,8 @@ def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: np.ndarray):
     ``y``, in row order. Each variant's row kernels run once on all rows.
     """
     rows = y.reshape(-1, y.shape[-1])
+    # one |y|^2 and one sort serve every BEACHES variant
+    b = blind_rows(rows) if any(v.startswith("beaches") for v in variants) else None
     for variant in variants:
         n0_var = n0
         if variant == "perfect_csi":
@@ -130,13 +132,12 @@ def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: np.ndarray):
             est = y
         elif variant == "beaches_blind":
             # rows whose noise estimate is zero come back unchanged
-            b = blind_rows(rows)
             est, n0_var = np.where(b.n0[:, None] > 0.0, b.shrunk, rows), b.n0
         else:
             if variant == "beaches_em":
-                z = abs_squared(rows)
-                n0_var = np.array([fit.n0_em for fit in em_fit_rows(z, em_init_rows(z))])
-            tau, _ = search_rows(rows, n0_var)
+                n0_var = np.array([fit.n0_em
+                                   for fit in _fit_rows(b.z, _init_rows(b.z, b.n0))])
+            tau, _ = _search_sorted(b.sorted_r, np.asarray(n0_var)[..., None])
             est = soft_threshold_rows(rows, tau)
         yield variant, est.reshape(y.shape), n0_var
 

@@ -48,9 +48,9 @@ import numpy as np
 
 from .channel import VARIANTS, ChannelConfig, ber_by_points, mse_by_points, noise_power
 from .core import BcgParams, RngStream, bcg_rows, draw_trials, trial_blocks
-from .em import em_fit_rows, em_init_rows
+from .em import _fit_rows, _init_rows
 from .estimators import genie_rows
-from .sure import blind_rows, search_rows
+from .sure import BlindRows, _search_sorted, blind_rows
 from .theory import theorem1_bounds
 
 EXPERIMENTS = ("sweep_snr", "sweep_p", "sweep_dim", "bounds_grid",
@@ -193,11 +193,12 @@ def _stats(table: np.ndarray):
 _QUANTITIES = ("n0", "es", "snr", "mse")
 
 
-def _em_columns(y: np.ndarray, z: np.ndarray) -> tuple:
-    """The EM family's per-row quantities for observation rows y, z = |y|^2."""
-    fits = em_fit_rows(z, em_init_rows(z))
+def _em_columns(blind: BlindRows) -> tuple:
+    """The EM family's per-row quantities, from the blind kernel's |y|^2,
+    noise estimate (the EM's median seed) and sorted magnitudes."""
+    fits = _fit_rows(blind.z, _init_rows(blind.z, blind.n0))
     n0 = [fit.n0_em for fit in fits]
-    _, sure = search_rows(y, n0)
+    _, sure = _search_sorted(blind.sorted_r, np.array(n0)[:, None])
     es = [fit.params.weight_active * (fit.params.var_large - fit.params.var_small)
           for fit in fits]
     return n0, es, [fit.snr_em for fit in fits], np.maximum(sure, 0.0)
@@ -222,7 +223,7 @@ def _trial_table(cfg: SweepConfig, points: list, families: tuple) -> np.ndarray:
         found = {"blind": (blind.n0, np.maximum(blind.signal, 0.0),
                            np.maximum(blind.snr, 0.0), np.maximum(blind.mse, 0.0))}
         if "em" in families:
-            found["em"] = _em_columns(y, blind.z)
+            found["em"] = _em_columns(blind)
         if "genie" in families:
             es, n0, snr, e0 = genie_rows(s, n, blind.shrunk)
             found["genie"] = (n0, es, snr, e0)

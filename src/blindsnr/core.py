@@ -256,10 +256,19 @@ def add(a: ComplexVector, b: ComplexVector) -> ComplexVector:
     return ComplexVector.from_complex(a.values + b.values)
 
 
+# What every estimator and denoiser raises for an input whose |y|^2 overflows.
+INFINITE_POWER = "input power is infinite: |y|^2 overflows"
+
+
 def abs_squared(a) -> np.ndarray:
     """Entrywise squared magnitude re^2 + im^2 of a :class:`ComplexVector` or
-    of a complex array of any shape, as a float64 array."""
+    of a complex array of any shape, as a float64 array.
+
+    An entry whose square overflows is inf, without numpy's overflow
+    warning; callers check (``INFINITE_POWER``).
+    """
     z = a.values if isinstance(a, ComplexVector) else a
     re = z.real
     im = z.imag
-    return re * re + im * im
+    with np.errstate(over="ignore"):
+        return re * re + im * im

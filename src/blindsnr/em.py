@@ -174,6 +174,13 @@ def em_fit_rows(z, init) -> list:
     w, v1, v2 = init.T
     if not ((0.0 <= w) & (w <= 1.0) & (0.0 < v1) & (v1 <= v2) & (v2 < math.inf)).all():
         raise ValueError("each init row must be valid MixtureParams")
+    return _fit_rows(z, init)
+
+
+def _fit_rows(z: np.ndarray, init: np.ndarray) -> list:
+    """:func:`em_fit_rows` on rows already known valid: finite non-negative
+    (R, D) powers and an (R, 3) float init of valid parameters."""
+    w, v1, v2 = init.T
     rows, d = z.shape
     sum_z = z.sum(axis=-1).tolist()
     floors = [_floor(total / d) for total in sum_z]
@@ -260,10 +267,15 @@ def em_init_rows(z) -> np.ndarray:
     z = _validated_powers(z, ndim=2)
     if z.shape[-1] < 2:
         raise ValueError("need at least two samples to initialize")
+    return _init_rows(z, median_from_sorted(np.sort(z, axis=-1)) / LOG2)
+
+
+def _init_rows(z: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """:func:`em_init_rows` given each row's median seed median(z) / log 2,
+    the blind noise estimate of the same row (``blind_rows(y).n0``)."""
     mean = z.mean(axis=-1)
-    s1 = median_from_sorted(np.sort(z, axis=-1)) / LOG2
     # degenerate all-zero bulk
-    s1 = np.where(s1 <= 0.0, np.maximum(mean, 5e-324), s1)
+    s1 = np.where(seed <= 0.0, np.maximum(mean, 5e-324), seed)
     s2 = np.maximum(2.0 * mean, 2.0 * s1)
     return np.stack((np.full(z.shape[0], 0.5), s1, np.maximum(s2, s1)), axis=-1)
 

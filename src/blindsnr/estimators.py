@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import LOG2, ComplexVector, abs_squared
+from .core import INFINITE_POWER, LOG2, ComplexVector, abs_squared
 from .selection import median_from_sorted
 
 if TYPE_CHECKING:  # only used in signatures; the object is duck-typed here
@@ -78,19 +78,20 @@ def estimate_noise_power(y: ComplexVector) -> NoisePowerEstimate:
     return NoisePowerEstimate(value=med / LOG2, median_z=med)
 
 
-def _receive_power(y: ComplexVector) -> float:
-    """||y||^2 / D; ValueError when the sum of |y|^2 overflows."""
-    total = float(abs_squared(y).sum())
+def _mean_power(values: np.ndarray) -> float:
+    """Mean of |values|^2; ValueError when their sum overflows."""
+    with np.errstate(over="ignore"):
+        total = float(abs_squared(values).sum())
     if not total < math.inf:
-        raise ValueError("input power is infinite: |y|^2 overflows")
-    return total / y.dim
+        raise ValueError(INFINITE_POWER)
+    return total / values.size
 
 
 def estimate_signal_power(y: ComplexVector, n0_hat: float) -> SignalPowerEstimate:
     """Sample receive power minus the noise power estimate, clipped at zero."""
     if not 0.0 <= n0_hat < math.inf:
         raise ValueError("n0_hat must be non-negative and finite")
-    raw = _receive_power(y) - n0_hat
+    raw = _mean_power(y.values) - n0_hat
     return SignalPowerEstimate(value=max(raw, 0.0), raw=raw)
 
 
@@ -103,7 +104,7 @@ def estimate_snr(y: ComplexVector, n0_hat: float) -> SnrEstimate:
     """
     if not 0.0 < n0_hat < math.inf:
         raise ValueError("n0_hat must be strictly positive and finite")
-    raw = _receive_power(y) / n0_hat - 1.0
+    raw = _mean_power(y.values) / n0_hat - 1.0
     return SnrEstimate(value=max(raw, 0.0), raw=raw)
 
 
@@ -118,9 +119,8 @@ def estimate_mse(y: ComplexVector, f: "DenoiserFunction", n0_hat: float) -> MseE
     if not 0.0 <= n0_hat < math.inf:
         raise ValueError("n0_hat must be non-negative and finite")
     d = y.dim
-    fy = f.evaluate(y)
-    resid = fy.values - y.values
-    resid_power = float((resid.real * resid.real + resid.imag * resid.imag).sum()) / d
+    _mean_power(y.values)  # an input whose |y|^2 overflows raises, whatever f is
+    resid_power = _mean_power(f.evaluate(y).values - y.values)
     div = np.asarray(f.divergence(y), dtype=np.float64)
     if div.shape != (d,):
         raise ValueError("divergence evaluator returned wrong shape")
@@ -154,9 +154,12 @@ def genie_rows(s, n, fy):
     :func:`genie_estimates`.
     """
     d = s.shape[-1]
-    es_bar = abs_squared(s).sum(axis=-1) / d
-    n0_bar = abs_squared(n).sum(axis=-1) / d
-    if (n0_bar <= 0.0).any():
-        raise ValueError("genie SNR undefined for an all-zero noise realization")
-    e0_bar = abs_squared(fy - s).sum(axis=-1) / d
+    with np.errstate(over="ignore"):
+        es_bar = abs_squared(s).sum(axis=-1) / d
+        n0_bar = abs_squared(n).sum(axis=-1) / d
+        if (n0_bar <= 0.0).any():
+            raise ValueError("genie SNR undefined for an all-zero noise realization")
+        e0_bar = abs_squared(fy - s).sum(axis=-1) / d
+    if not (np.isfinite(es_bar) & np.isfinite(n0_bar) & np.isfinite(e0_bar)).all():
+        raise ValueError(INFINITE_POWER)
     return es_bar, n0_bar, es_bar / n0_bar, e0_bar

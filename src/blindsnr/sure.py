@@ -15,6 +15,9 @@ falls from 1 to 0), so the minimizer typically sits exactly on a sorted
 magnitude; the search below therefore evaluates every inter-order-
 statistic stationary point clamped to its interval, plus tau = 0 and the
 zero-map candidate, all in closed form after one sort: O(D log D) total.
+These candidates ascend along each row, so the first minimum of the risk
+(``argmin``) is also the smallest tau among tied minima; no second sort
+is needed to pick it.
 
 The fully blind variant reuses the same sorted array to form the
 median-based noise estimate, so a single sort serves both jobs.
@@ -24,7 +27,9 @@ threshold per row, and reject any other shape: :func:`search_rows`,
 :func:`soft_threshold_rows` and :func:`blind_rows`, the whole blind
 pipeline (noise, signal power, SNR and risk estimate from one |y|^2 and
 one sort). The per-vector functions are one-row calls into the same
-kernels.
+kernels. Every function here raises ValueError when |y|^2 of an input
+entry overflows; those that sum |y|^2 over a row (the search, the risk
+estimate, the blind pipeline) also when that sum does.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LOG2, ComplexVector, abs_squared
+from .core import INFINITE_POWER, LOG2, ComplexVector, abs_squared
 from .estimators import (
     MseEstimate,
     NoisePowerEstimate,
@@ -64,7 +69,10 @@ class ThresholdSearchResult:
 def _magnitudes(values: np.ndarray) -> np.ndarray:
     # sqrt(re^2 + im^2) everywhere, so threshold comparisons are bit-identical
     # across the evaluate / risk / search paths.
-    return np.sqrt(abs_squared(values))
+    r = np.sqrt(abs_squared(values))
+    if np.isinf(r).any():
+        raise ValueError(INFINITE_POWER)
+    return r
 
 
 def _rows(values) -> np.ndarray:
@@ -169,6 +177,9 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     if not 0.0 < n0 < math.inf:
         raise ValueError("n0 must be positive and finite")
     z = abs_squared(y)
+    with np.errstate(over="ignore"):
+        if not z.sum() < math.inf:
+            raise ValueError(INFINITE_POWER)
     r = np.sqrt(z)
     d = y.dim
     # classify in magnitude space (r > tau), exactly as the threshold and
@@ -183,35 +194,45 @@ def _search_sorted(rs: np.ndarray, n0: np.ndarray):
     """SURE minimum over tau >= 0 for each row of ascending magnitudes.
 
     ``rs`` is (R, D) and ``n0`` an (R, 1) column. Returns (tau_star,
-    sure_at_tau), one per row.
+    sure_at_tau), one per row; ValueError when a row's sum of squared
+    magnitudes overflows.
+
+    Each row's D + 2 candidates ascend: 0, the stationary point of each
+    interval [rs[k-1], rs[k]] clamped into it, then rs[-1]. So the first
+    minimum ``argmin`` finds is the smallest tau among tied risks.
     """
     rows, d = rs.shape
-    edge = np.zeros((rows, 1))
-    rs0 = np.concatenate((edge, rs), axis=1)  # 0, then the magnitudes
-    prefix_z = np.cumsum(rs0 * rs0, axis=1)
-    nz = rs > 0
-    recip = np.where(nz, 1.0 / np.where(nz, rs, 1.0), 0.0)
-    suffix_recip = np.concatenate((np.cumsum(recip[:, ::-1], axis=1)[:, ::-1], edge),
-                                  axis=1)
-
+    prefix_z = np.zeros((rows, d + 1))      # sum of rs^2 over the k smallest
+    suffix_recip = np.zeros((rows, d + 1))  # sum of 1/rs over all but the k smallest
+    taus = np.zeros((rows, d + 2))
+    taus[:, -1] = rs[:, -1]
+    stationary = taus[:, 1:-1]
     # For tau in [rs[k-1], rs[k]) exactly k entries sit below threshold;
     # the above-set has c = d - k entries and the smooth piece is minimized
     # at tau = n0 * S / (2 c) with S the reciprocal sum over the above-set.
-    c = np.arange(d, 0, -1, dtype=np.float64)
-    tau_raw = n0 * suffix_recip[:, :d] / (2.0 * c)
-    stationary = np.clip(tau_raw, rs0[:, :-1], rs)
-    taus = np.concatenate((edge, stationary, rs[:, -1:]), axis=1)
+    # n0 * S may overflow to inf, which the clamp maps to rs[k] as it would
+    # the exact value.
+    with np.errstate(over="ignore"):
+        (rs * rs).cumsum(axis=1, out=prefix_z[:, 1:])
+        if not prefix_z[:, -1].max() < math.inf:
+            raise ValueError(INFINITE_POWER)
+        recip = np.divide(1.0, rs, out=np.zeros(rs.shape), where=rs > 0.0)
+        recip[:, ::-1].cumsum(axis=1, out=suffix_recip[:, d - 1::-1])
+        np.divide(n0 * suffix_recip[:, :d], np.arange(2 * d, 0, -2.0), out=stationary)
+    # the clamp to [rs[k-1], rs[k]]; tau_raw >= 0 already at k = 0
+    np.maximum(stationary[:, 1:], rs[:, :-1], out=stationary[:, 1:])
+    np.minimum(stationary, rs, out=stationary)
 
     # exact SURE at each candidate: entries <= tau are below threshold
     j = np.empty(taus.shape, dtype=np.intp)
     for row in range(rows):
-        j[row] = np.searchsorted(rs[row], taus[row], side="right")
+        j[row] = rs[row].searchsorted(taus[row], side="right")
     at = j + np.arange(0, rows * (d + 1), d + 1)[:, None]  # flat index into (R, d + 1)
-    above = (d - j).astype(np.float64)
+    above = np.subtract(d, j, dtype=np.float64)
     sures = (prefix_z.take(at) + above * taus * taus) / d - n0 \
         + (n0 / d) * (2.0 * above - taus * suffix_recip.take(at))
 
-    best = np.lexsort((taus, sures), axis=1)[:, 0]  # ties: smaller tau wins
+    best = sures.argmin(axis=1)  # the first minimum: ties go to the smaller tau
     best += np.arange(0, rows * (d + 2), d + 2)
     return taus.take(best), sures.take(best)
 
@@ -226,7 +247,7 @@ def search_rows(values, n0):
     n0 = np.asarray(n0, dtype=np.float64)
     if not ((n0 > 0.0) & (n0 < math.inf)).all():
         raise ValueError("n0 must be positive and finite")
-    return _search_sorted(np.sort(_magnitudes(values), axis=1), n0[..., None])
+    return _search_sorted(np.sort(np.sqrt(abs_squared(values)), axis=1), n0[..., None])
 
 
 def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
@@ -263,7 +284,8 @@ class BlindRows(NamedTuple):
     ``shrunk`` is the soft threshold of the input at ``tau``. Where the
     noise estimate ``n0`` is zero, ``tau``, ``sure``, ``snr``, ``mse`` and
     ``divergence_sum`` are 0; ``signal``, ``snr`` and ``mse`` are the
-    pre-clip values.
+    pre-clip values. ``sorted_r`` holds each row's magnitudes sqrt(z) in
+    ascending order, for further threshold searches on the same rows.
     """
 
     z: np.ndarray
@@ -276,6 +298,7 @@ class BlindRows(NamedTuple):
     snr: np.ndarray
     mse: np.ndarray
     divergence_sum: np.ndarray
+    sorted_r: np.ndarray
 
 
 def blind_rows(values) -> BlindRows:
@@ -292,7 +315,8 @@ def blind_rows(values) -> BlindRows:
     zs = np.sort(z, axis=1)
     median_z = median_from_sorted(zs)
     n0 = median_z / LOG2
-    tau, sure = _search_sorted(np.sqrt(zs), n0[:, None])
+    sorted_r = np.sqrt(zs)
+    tau, sure = _search_sorted(sorted_r, n0[:, None])
     # a zero noise estimate (at least half the entries zero) gets no
     # threshold, SNR or risk
     pos = n0 > 0.0
@@ -307,7 +331,7 @@ def blind_rows(values) -> BlindRows:
         z=z, median_z=median_z, n0=n0, tau=tau, sure=np.where(pos, sure, 0.0),
         shrunk=shrunk, signal=ey - n0, snr=np.where(pos, ey / safe - 1.0, 0.0),
         mse=np.where(pos, resid - n0 + n0 * div_sum / d, 0.0),
-        divergence_sum=np.where(pos, div_sum, 0.0))
+        divergence_sum=np.where(pos, div_sum, 0.0), sorted_r=sorted_r)
 
 
 @dataclass(frozen=True)
@@ -331,7 +355,7 @@ def blind_report(y: ComplexVector) -> EstimateReport:
     """
     b = blind_rows(y.values[None])
     median_z, n0, tau, sure, signal, snr, mse, div_sum = (
-        a.item() for a in b[1:5] + b[6:])
+        a.item() for a in b[1:5] + b[6:10])
     noise = NoisePowerEstimate(value=n0, median_z=median_z)
     if n0 > 0.0:
         search = ThresholdSearchResult(tau_star=tau, sure_at_tau=sure,

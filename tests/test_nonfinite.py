@@ -1,4 +1,5 @@
-"""Non-finite parameters raise ValueError instead of leaving the library as NaN or inf."""
+"""Non-finite parameters, and inputs whose |y|^2 overflows, raise ValueError
+instead of leaving the library as NaN or inf."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,19 @@ from blindsnr import (
     ComplexVector,
     DenoiserFunction,
     MixtureParams,
+    blind_report,
+    denoise_blind,
     estimate_mse,
+    estimate_noise_power,
     estimate_signal_power,
     estimate_snr,
+    genie_estimates,
     search_threshold,
     soft_threshold,
     sure_of_threshold,
 )
 from blindsnr.em import em_fit_rows
-from blindsnr.sure import search_rows, soft_threshold_rows
+from blindsnr.sure import blind_rows, search_rows, soft_threshold_rows
 
 Y = ComplexVector(np.array([0.5, -1.0, 2.0, 0.0]), np.array([1.0, 0.25, -3.0, 0.0]))
 ROWS = np.stack((Y.values, 2.0 * Y.values))
@@ -46,3 +51,50 @@ def test_non_finite_parameter_raises(name, bad):
     with pytest.raises(ValueError):
         CALLS[name](bad)
 
+
+
+# |y_d|^2 overflows at every entry; and a vector whose |y_d|^2 are finite
+# but sum to inf. The latter's median |y_d|^2 is 0.5 * (1 + 1e308): a median
+# near the float maximum overflows on its own (ROADMAP item 4).
+HUGE = ComplexVector(np.full(8, 1e200), np.zeros(8))
+HUGE_SUM = ComplexVector(np.repeat([1.0, 1e154], 4), np.zeros(8))
+UNIT = ComplexVector(np.ones(8), np.zeros(8))
+
+# calls that sum |y|^2, so either vector overflows them
+POWER_CALLS = {
+    "search_threshold": lambda y: search_threshold(y, 1.0),
+    "search_rows": lambda y: search_rows(y.values[None], 1.0),
+    "sure_of_threshold": lambda y: sure_of_threshold(y, 1.0, 1.0),
+    "blind_report": blind_report,
+    "blind_rows": lambda y: blind_rows(y.values[None]),
+    "denoise_blind": denoise_blind,
+    "estimate_signal_power": lambda y: estimate_signal_power(y, 1.0),
+    "estimate_snr": lambda y: estimate_snr(y, 1.0),
+    "estimate_mse.identity": lambda y: estimate_mse(y, DenoiserFunction.identity(), 1.0),
+    "estimate_mse.zero": lambda y: estimate_mse(y, DenoiserFunction.zero(), 1.0),
+    "genie_estimates": lambda y: genie_estimates(y, UNIT, y, DenoiserFunction.identity()),
+}
+# calls that use each |y_d|^2 alone
+ENTRY_CALLS = {
+    "estimate_noise_power": estimate_noise_power,
+    "soft_threshold": lambda y: soft_threshold(y, 1.0),
+    "soft_threshold_rows": lambda y: soft_threshold_rows(y.values[None], 1.0),
+    "DenoiserFunction.evaluate": lambda y: DenoiserFunction.soft(1.0).evaluate(y),
+    "DenoiserFunction.divergence": lambda y: DenoiserFunction.soft(1.0).divergence(y),
+    "estimate_mse.soft": lambda y: estimate_mse(y, DenoiserFunction.soft(1.0), 1.0),
+}
+
+
+# the suite turns RuntimeWarnings into errors, so these also show that
+# numpy's overflow warning does not escape before the ValueError
+@pytest.mark.parametrize("y", [HUGE, HUGE_SUM], ids=["entry", "sum"])
+@pytest.mark.parametrize("name", sorted(POWER_CALLS))
+def test_overflowing_power_raises(name, y):
+    with pytest.raises(ValueError, match="infinite"):
+        POWER_CALLS[name](y)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_CALLS))
+def test_overflowing_entry_raises(name):
+    with pytest.raises(ValueError, match="infinite"):
+        ENTRY_CALLS[name](HUGE)

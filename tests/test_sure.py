@@ -290,7 +290,7 @@ class TestBlindReport:
         assert rep.snr.value == 0.0
         assert rep.mse.value == 0.0
         # an overflowing |y|^2 raises instead of giving NaN estimates
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infinite"):
+        with pytest.raises(ValueError, match="infinite"):
             blind_report(ComplexVector(np.full(4, 1e200), np.zeros(4)))
 
 
@@ -324,9 +324,18 @@ def reference_soft(values, tau):
     return values * scale
 
 
+def oracle_search(rs, n0):
+    """:func:`reference_search`, whose n0 * S may overflow to inf for a huge
+    n0 over tiny magnitudes; its clip then gives rs[k], as the exact value
+    would."""
+    with np.errstate(over="ignore"):
+        return reference_search(rs, n0)
+
+
 def sure_rows_data(seed, rows, dim, kind):
     """(rows, dim) complex observations: noise plus a sparse part, with zero,
-    tied or half-zero rows."""
+    tied or half-zero rows, or each row scaled by an exact power of two
+    across the float range."""
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
     y += np.where(rng.random((rows, dim)) < 0.1, 5.0, 0.0)
@@ -336,6 +345,8 @@ def sure_rows_data(seed, rows, dim, kind):
         y = np.round(y)
     elif kind == "half_zero":
         y[:, : (dim + 1) // 2] = 0.0
+    elif kind == "pow2":
+        y *= np.ldexp(1.0, rng.integers(-500, 501, rows))[:, None]
     return y
 
 
@@ -343,8 +354,8 @@ class TestRowsMatchPerVectorReference:
     @settings(max_examples=60, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9),
            dim=st.integers(1, 256),
-           kind=st.sampled_from(["noise", "zero", "tied", "half_zero"]),
-           n0_scale=st.floats(1e-3, 1e3))
+           kind=st.sampled_from(["noise", "zero", "tied", "half_zero", "pow2"]),
+           n0_scale=st.floats(1e-300, 1e300))
     def test_bit_identical(self, seed, rows, dim, kind, n0_scale):
         y = sure_rows_data(seed, rows, dim, kind)
         n0 = n0_scale * np.arange(1, rows + 1)
@@ -354,7 +365,7 @@ class TestRowsMatchPerVectorReference:
         ((_, denoised, n0_hat),) = _estimates(("beaches_blind",), y, y, 1.0)
         for k, row in enumerate(y):
             rs = np.sort(np.sqrt(abs_squared(row)))
-            assert (tau[k], sure[k]) == reference_search(rs, n0[k])
+            assert (tau[k], sure[k]) == oracle_search(rs, n0[k])
             v = ComplexVector.from_complex(row)
             found = search_threshold(v, n0[k])
             assert (found.tau_star, found.sure_at_tau) == (tau[k], sure[k])
@@ -364,10 +375,23 @@ class TestRowsMatchPerVectorReference:
             assert noise.value == n0_hat[k]
             assert out.values.tobytes() == denoised[k].tobytes()
             if noise.value > 0.0:
-                assert (blind.tau_star, blind.sure_at_tau) == reference_search(rs, noise.value)
+                assert (blind.tau_star, blind.sure_at_tau) == oracle_search(rs, noise.value)
                 assert denoised[k].tobytes() == reference_soft(row, blind.tau_star).tobytes()
             else:
                 assert denoised[k].tobytes() == row.tobytes()
+
+    def test_tied_minima_pick_the_smaller_tau(self):
+        # (magnitudes, n0, smaller tau, larger tau): the risk ties exactly at
+        # two taus, with and without zero entries; in the all-equal row the
+        # minimum repeats over the candidates at one tau
+        cases = [((1.0, 2.0), 2.0, 1.0, 2.0), ((0.5, 0.5, 1.0), 0.5, 0.5, 1.0),
+                 ((0.0, 0.0, 0.5, 1.0), 0.5, 0.5, 1.0), ((1.0,) * 4, 2.0, 1.0, 1.0)]
+        for mags, n0, low, high in cases:
+            y = ComplexVector(np.array(mags), np.zeros(len(mags)))
+            (tau,), (sure,) = search_rows(y.values[None], n0)
+            assert (tau, sure) == (low, sure_of_threshold(y, high, n0))
+            assert sure == sure_of_threshold(y, low, n0)
+            assert (tau, sure) == reference_search(np.array(mags), n0)
 
     def test_one_noise_power_for_all_rows(self):
         y = sure_rows_data(7, 5, 64, "tied")
@@ -388,7 +412,7 @@ def assert_blind_matches_reference(y):
         one = blind_rows(row[None])
         for got in (tuple(a[k] for a in rows[1:5]), tuple(a[0] for a in one[1:5])):
             assert got == (noise.median_z, noise.value, search.tau_star, search.sure_at_tau)
-        for got in (tuple(a[k] for a in rows[6:]), tuple(a[0] for a in one[6:])):
+        for got in (tuple(a[k] for a in rows[6:10]), tuple(a[0] for a in one[6:10])):
             assert got == (signal.raw, snr.raw, mse.raw_sure, mse.divergence_sum)
         assert estimate_noise_power(v).value == rows.n0[k] == \
             sample_median(abs_squared(row), "quickselect").value / LOG2
@@ -416,7 +440,7 @@ class TestBlindKernelMatchesComposition:
     @settings(max_examples=60, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9),
            dim=st.integers(1, 256),
-           kind=st.sampled_from(["noise", "zero", "tied", "half_zero"]))
+           kind=st.sampled_from(["noise", "zero", "tied", "half_zero", "pow2"]))
     def test_bit_identical(self, seed, rows, dim, kind):
         assert_blind_matches_reference(sure_rows_data(seed, rows, dim, kind))
 
