@@ -247,6 +247,7 @@ def search_rows(values, n0):
     n0 = np.asarray(n0, dtype=np.float64)
     if not ((n0 > 0.0) & (n0 < math.inf)).all():
         raise ValueError("n0 must be positive and finite")
+    # not _magnitudes: the search checks each row's sum of |y|^2 itself
     return _search_sorted(np.sort(np.sqrt(abs_squared(values)), axis=1), n0[..., None])
 
 
