@@ -54,8 +54,8 @@ def test_non_finite_parameter_raises(name, bad):
 
 
 # |y_d|^2 overflows at every entry; and a vector whose |y_d|^2 are finite
-# but sum to inf. The latter's median |y_d|^2 is 0.5 * (1 + 1e308): a median
-# near the float maximum overflows on its own (ROADMAP item 4).
+# but sum to inf. The latter's median |y_d|^2 is 0.5 * (1 + 1e308), since a
+# median near the float maximum overflows in median_from_sorted on its own.
 HUGE = ComplexVector(np.full(8, 1e200), np.zeros(8))
 HUGE_SUM = ComplexVector(np.repeat([1.0, 1e154], 4), np.zeros(8))
 UNIT = ComplexVector(np.ones(8), np.zeros(8))
