@@ -135,8 +135,7 @@ def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: np.ndarray):
             est, n0_var = np.where(b.n0[:, None] > 0.0, b.shrunk, rows), b.n0
         else:
             if variant == "beaches_em":
-                n0_var = np.array([fit.n0_em
-                                   for fit in _fit_rows(b.z, _init_rows(b.z, b.n0))])
+                n0_var = _fit_rows(b.z, _init_rows(b.z, b.n0)).var_small
             tau, _ = _search_sorted(b.sorted_r, np.asarray(n0_var)[..., None])
             est = soft_threshold_rows(rows, tau)
         yield variant, est.reshape(y.shape), n0_var

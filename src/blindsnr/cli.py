@@ -28,9 +28,9 @@ through the same parser. ``SweepConfig`` range-checks the values, the
 channel's shape (antennas, users, paths) through ``ChannelConfig``.
 
 Exit codes: 0 success, 1 I/O error writing the CSV or summary, 2 invalid
-configuration (an unreadable config file, an unknown key, or a value that
-does not parse or is out of range), 3 summary assertion failure (with
-``--summary``).
+configuration (an unreadable config file, an unknown key, a value that
+does not parse or is out of range, or powers at which an estimate of the
+draws overflows), 3 summary assertion failure (with ``--summary``).
 """
 
 from __future__ import annotations
@@ -196,12 +196,11 @@ _QUANTITIES = ("n0", "es", "snr", "mse")
 def _em_columns(blind: BlindRows) -> tuple:
     """The EM family's per-row quantities, from the blind kernel's |y|^2,
     noise estimate (the EM's median seed) and sorted magnitudes."""
-    fits = _fit_rows(blind.z, _init_rows(blind.z, blind.n0))
-    n0 = [fit.n0_em for fit in fits]
-    _, sure = _search_sorted(blind.sorted_r, np.array(n0)[:, None])
-    es = [fit.params.weight_active * (fit.params.var_large - fit.params.var_small)
-          for fit in fits]
-    return n0, es, [fit.snr_em for fit in fits], np.maximum(sure, 0.0)
+    fit = _fit_rows(blind.z, _init_rows(blind.z, blind.n0))
+    n0 = fit.var_small
+    _, sure = _search_sorted(blind.sorted_r, n0[:, None])
+    es = fit.weight * (fit.var_large - n0)
+    return n0, es, np.maximum(es / n0, 0.0), np.maximum(sure, 0.0)
 
 
 def _trial_table(cfg: SweepConfig, points: list, families: tuple) -> np.ndarray:
@@ -219,14 +218,17 @@ def _trial_table(cfg: SweepConfig, points: list, families: tuple) -> np.ndarray:
         s, n = (np.concatenate(rows)
                 for rows in zip(*(bcg_rows(params, draws) for params in points)))
         y = s + n
-        blind = blind_rows(y)
-        found = {"blind": (blind.n0, np.maximum(blind.signal, 0.0),
-                           np.maximum(blind.snr, 0.0), np.maximum(blind.mse, 0.0))}
-        if "em" in families:
-            found["em"] = _em_columns(blind)
-        if "genie" in families:
-            es, n0, snr, e0 = genie_rows(s, n, blind.shrunk)
-            found["genie"] = (n0, es, snr, e0)
+        try:
+            blind = blind_rows(y)
+            found = {"blind": (blind.n0, np.maximum(blind.signal, 0.0),
+                               np.maximum(blind.snr, 0.0), np.maximum(blind.mse, 0.0))}
+            if "em" in families:
+                found["em"] = _em_columns(blind)
+            if "genie" in families:
+                es, n0, snr, e0 = genie_rows(s, n, blind.shrunk)
+                found["genie"] = (n0, es, snr, e0)
+        except ValueError as exc:  # an estimate of these draws leaves the float range
+            raise ConfigError(f"an estimate at these powers overflows: {exc}") from exc
         for f, family in enumerate(families):
             columns = np.reshape(found[family], (len(_QUANTITIES), len(points), -1))
             table[:, f, :, trials.start:trials.stop] = columns.transpose(1, 0, 2)

@@ -258,6 +258,8 @@ def add(a: ComplexVector, b: ComplexVector) -> ComplexVector:
 
 # What every estimator and denoiser raises for an input whose |y|^2 overflows.
 INFINITE_POWER = "input power is infinite: |y|^2 overflows"
+# What the blind and genie SNR estimates raise when their quotient overflows.
+INFINITE_SNR = "SNR estimate is infinite: the receive power over the noise power overflows"
 
 
 def abs_squared(a) -> np.ndarray:

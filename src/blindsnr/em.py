@@ -14,25 +14,32 @@ and cheap). A component whose responsibility mass vanishes is frozen at
 its current variance with weight 0 or 1 and the fit is marked converged.
 
 ``op_estimate`` counts the real operations the update formulas perform
-(including the per-iteration log-likelihood evaluation and the 3D
-squared-magnitude formation done upstream of the fit) in closed form, for
-comparison against per-iteration cost floors of iterative baselines:
+(including the per-iteration log-likelihood evaluation, whether or not a
+trace is asked for, and the 3D squared-magnitude formation done upstream
+of the fit) in closed form, for comparison against per-iteration cost
+floors of iterative baselines:
 4D before the loop, 18D+2 per E-step with its sums, 18 per full M-step
 with its stopping test, one per ordering swap, and 3 or 1 for the final
 update of a large- or small-component collapse.
 
 The fit runs on rows: :func:`em_fit_rows` fits every row of an (R, D)
-array at once. Only the D-long E-step is batched (the exponentials, the
-responsibilities and the three row sums), over the rows still iterating;
-the scalar M-step, the collapse rules, the stopping test and the cap
-apply per row in Python floats, so each row's fit is the one
-:func:`em_fit` gives for that row alone, bit for bit.
+array at once, and :func:`em_fit` and :func:`em_step` (one iteration)
+are one-row calls into the same kernel. Each iteration's E-step is one
+pass over a (2, rows, D) array holding both components' weighted
+densities, for the rows still iterating; it yields each row's
+responsibility sums with one reduction. The M-step, the collapse rules,
+the stopping test and the cap then apply per row in Python floats, so
+each row's fit is the one a per-vector loop gives, bit for bit. The
+log-likelihood is evaluated only when a trace is asked for
+(``EmResult.loglik_trace``); the kernel returns its fits as arrays, one
+entry per row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,63 +104,38 @@ def _validated_powers(z, ndim: int = 1) -> np.ndarray:
     return z
 
 
-def _e_step(z, p, inv1, inv2):
-    """Per-row sum of gamma, sum of gamma * z and log-likelihood, as lists.
+def _weights_and_inverses(p: list, s1: list, s2: list) -> np.ndarray:
+    """The E-step's per-row inputs [1 - p, p, 1/s1, 1/s2] as a (4, R)
+    array; numpy's subtract and divide give the Python float results."""
+    block = np.array((p, p, s1, s2))
+    np.subtract(1.0, block[0], out=block[0])
+    np.divide(1.0, block[2:], out=block[2:])
+    return block
 
-    ``z`` is (R, D); ``p`` and the inverse variances ``inv1``, ``inv2``
-    are (R, 1). gamma is the posterior of the large component, with a
-    joint-underflow guard.
+
+class EmRows(NamedTuple):
+    """The fits of an (R, D) block, one entry per row.
+
+    ``loglik_trace`` holds each row's per-iteration log-likelihoods as a
+    tuple when a trace was asked for, and is None otherwise.
     """
-    # a variance floored at 5e-324 has an infinite inverse, so zero samples
-    # give 0 * inf and the densities overflow; ``ok`` maps those samples
-    with np.errstate(invalid="ignore", over="ignore"):
-        g1 = inv1 * np.exp(-(z * inv1))
-        g2 = inv2 * np.exp(-(z * inv2))
-        w2 = p * g2
-        w1 = (1.0 - p) * g1
-        den = w1 + w2
-    ok = den > 0
-    # if both densities underflow the sample is extreme for either model;
-    # hand it to the heavy component
-    gamma = np.where(ok, w2 / np.where(ok, den, 1.0), 1.0)
-    loglik = np.log(np.where(ok, den, 5e-324)).sum(axis=-1)
-    return (gamma.sum(axis=-1).tolist(), (gamma * z).sum(axis=-1).tolist(),
-            loglik.tolist())
 
-
-def _m_step(d, p, s1, s2, sum_z, floor, sg, sgz):
-    """Returns (p', s1', s2', collapsed, swapped) from the E-step sums."""
-    if sg < _COLLAPSE_MASS:
-        # large component starved: freeze its variance (kept at or above
-        # the updated small one), drop its weight
-        s1_new = max((sum_z - sgz) / (d - sg), floor)
-        return 0.0, s1_new, max(s2, s1_new), True, False
-    if d - sg < _COLLAPSE_MASS:
-        # small component starved: freeze its variance, give it weight 0
-        s2_new = max(sgz / sg, floor, s1)
-        return 1.0, s1, s2_new, True, False
-    p_new = sg / d
-    s2_new = max(sgz / sg, floor)
-    s1_new = max((sum_z - sgz) / (d - sg), floor)
-    if s1_new > s2_new:
-        return 1.0 - p_new, s2_new, s1_new, False, True
-    return p_new, s1_new, s2_new, False, False
-
-
-def _floor(mean_z: float) -> float:
-    return max(_FLOOR_SCALE * mean_z, 5e-324)
+    weight: np.ndarray
+    var_small: np.ndarray
+    var_large: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    op_estimate: np.ndarray
+    loglik_trace: list | None
 
 
 def em_step(z, params: MixtureParams) -> MixtureParams:
     """One E+M update (with ordering swap and variance floors)."""
     z = _validated_powers(z)
-    p, s1, s2 = params.weight_active, params.var_small, params.var_large
-    sum_z = float(z.sum())
-    (sg,), (sgz,), _ = _e_step(z[None], np.array([[p]]), np.array([[1.0 / s1]]),
-                               np.array([[1.0 / s2]]))
-    p, s1, s2, *_ = _m_step(z.size, p, s1, s2, sum_z, _floor(sum_z / z.size),
-                            sg, sgz)
-    return MixtureParams(weight_active=p, var_small=s1, var_large=s2)
+    start = np.array([[params.weight_active, params.var_small, params.var_large]])
+    fit = _fit_rows(z[None], start, max_iterations=1)
+    return MixtureParams(weight_active=fit.weight.item(), var_small=fit.var_small.item(),
+                         var_large=fit.var_large.item())
 
 
 def em_fit_rows(z, init) -> list:
@@ -174,74 +156,112 @@ def em_fit_rows(z, init) -> list:
     w, v1, v2 = init.T
     if not ((0.0 <= w) & (w <= 1.0) & (0.0 < v1) & (v1 <= v2) & (v2 < math.inf)).all():
         raise ValueError("each init row must be valid MixtureParams")
-    return _fit_rows(z, init)
+    fit = _fit_rows(z, init, trace=True)
+    return [EmResult(params=MixtureParams(weight_active=p, var_small=s1, var_large=s2),
+                     iterations=it, converged=done, n0_em=s1,
+                     snr_em=max(p * (s2 - s1) / s1, 0.0), op_estimate=ops,
+                     loglik_trace=trace)
+            for p, s1, s2, it, done, ops, trace in zip(
+                fit.weight.tolist(), fit.var_small.tolist(), fit.var_large.tolist(),
+                fit.iterations.tolist(), fit.converged.tolist(),
+                fit.op_estimate.tolist(), fit.loglik_trace)]
 
 
-def _fit_rows(z: np.ndarray, init: np.ndarray) -> list:
+def _fit_rows(z: np.ndarray, init: np.ndarray, trace: bool = False,
+              max_iterations: int = MAX_ITERATIONS) -> EmRows:
     """:func:`em_fit_rows` on rows already known valid: finite non-negative
-    (R, D) powers and an (R, 3) float init of valid parameters."""
-    w, v1, v2 = init.T
+    (R, D) powers and an (R, 3) float init of valid parameters. The
+    log-likelihood is evaluated only when ``trace`` is set."""
     rows, d = z.shape
     sum_z = z.sum(axis=-1).tolist()
-    floors = [_floor(total / d) for total in sum_z]
-    p, s1, s2 = w.tolist(), v1.tolist(), v2.tolist()
-    trace = [[] for _ in range(rows)]
+    floors = [max(_FLOOR_SCALE * (total / d), 5e-324) for total in sum_z]
+    p, s1, s2 = init.T.tolist()
+    traces = [[] for _ in range(rows)] if trace else None
     iterations = [0] * rows
     converged = [False] * rows
     swaps = [0] * rows
     collapse_ops = [0] * rows
 
-    # the E-step inputs of the rows still iterating, as (active, 1) columns;
-    # the inverses are taken in Python floats, as the M-step values are
+    # the rows still iterating, their |y|^2 and their E-step inputs
     active = list(range(rows))
     z_active = z
-    p_col = init[:, :1].copy()
-    inv1_col = np.array([[1.0 / v] for v in s1])
-    inv2_col = np.array([[1.0 / v] for v in s2])
-    for it in range(1, MAX_ITERATIONS + 1):
-        sg, sgz, loglik = _e_step(z_active, p_col, inv1_col, inv2_col)
-        still = []
-        for k, i in enumerate(active):
-            p_new, s1_new, s2_new, collapsed, swapped = _m_step(
-                d, p[i], s1[i], s2[i], sum_z[i], floors[i], sg[k], sgz[k])
-            trace[i].append(loglik[k])
-            iterations[i] = it
-            if collapsed:
+    # a variance floored at 5e-324 has an infinite inverse, so zero samples
+    # give 0 * inf and the densities overflow; the density test maps those
+    with np.errstate(invalid="ignore", over="ignore"):
+        block = _weights_and_inverses(p, s1, s2)
+        for it in range(1, max_iterations + 1):
+            # both components' weighted densities w * inv * exp(-z * inv) at
+            # once, as a (2, active, D) array
+            inv = block[2:, :, None]
+            dens = z_active * -inv
+            np.exp(dens, out=dens)
+            dens *= inv
+            dens *= block[:2, :, None]
+            den = dens[0] + dens[1]
+            # gamma, the posterior of the large component, goes into dens[0]
+            if den.min() > 0.0:
+                np.divide(dens[1], den, out=dens[0])
+            else:
+                # if both densities underflow (or are NaN) the sample is
+                # extreme for either model; hand it to the heavy component
+                ok = den > 0.0
+                den = np.where(ok, den, 5e-324)
+                dens[0] = np.where(ok, dens[1] / den, 1.0)
+            if traces is not None:
+                loglik = np.log(den).sum(axis=-1).tolist()
+            np.multiply(dens[0], z_active, out=dens[1])
+            sg, sgz = dens.sum(axis=-1).tolist()
+
+            # the M-step of each row, in Python floats
+            still = []
+            for k, i in enumerate(active):
+                if traces is not None:
+                    traces[i].append(loglik[k])
+                iterations[i] = it
+                g, gz = sg[k], sgz[k]
+                if g < _COLLAPSE_MASS:
+                    # large component starved: freeze its variance (kept at or
+                    # above the updated small one), drop its weight
+                    s1_new = max((sum_z[i] - gz) / (d - g), floors[i])
+                    p[i], s1[i], s2[i] = 0.0, s1_new, max(s2[i], s1_new)
+                    converged[i] = True
+                    collapse_ops[i] = 3
+                    continue
+                if d - g < _COLLAPSE_MASS:
+                    # small component starved: freeze its variance, give it
+                    # weight 0
+                    p[i], s2[i] = 1.0, max(gz / g, floors[i], s1[i])
+                    converged[i] = True
+                    collapse_ops[i] = 1
+                    continue
+                p_new = g / d
+                s2_new = max(gz / g, floors[i])
+                s1_new = max((sum_z[i] - gz) / (d - g), floors[i])
+                if s1_new > s2_new:
+                    p_new, s1_new, s2_new = 1.0 - p_new, s2_new, s1_new
+                    swaps[i] += 1
+                delta = abs(p_new - p[i]) + abs(s1_new - s1[i]) + abs(s2_new - s2[i])
+                base = p[i] + s1[i] + s2[i]
                 p[i], s1[i], s2[i] = p_new, s1_new, s2_new
-                converged[i] = True
-                collapse_ops[i] = 3 if p_new == 0.0 else 1
-                continue
-            swaps[i] += swapped
-            delta = abs(p_new - p[i]) + abs(s1_new - s1[i]) + abs(s2_new - s2[i])
-            base = p[i] + s1[i] + s2[i]
-            p[i], s1[i], s2[i] = p_new, s1_new, s2_new
-            if delta / base < REL_TOL:
-                converged[i] = True
-                continue
-            p_col[k, 0] = p_new
-            inv1_col[k, 0] = 1.0 / s1_new
-            inv2_col[k, 0] = 1.0 / s2_new
-            still.append(k)
-        if len(still) < len(active):
+                if delta / base < REL_TOL:
+                    converged[i] = True
+                    continue
+                still.append(k)
             if not still:
                 break
-            z_active, p_col = z_active[still], p_col[still]
-            inv1_col, inv2_col = inv1_col[still], inv2_col[still]
-            active = [active[k] for k in still]
+            if len(still) < len(active):
+                z_active = z_active[still]
+                active = [active[k] for k in still]
+            block = _weights_and_inverses([p[i] for i in active], [s1[i] for i in active],
+                                          [s2[i] for i in active])
 
-    results = []
-    for i in range(rows):
-        it = iterations[i]
-        full_updates = it - (collapse_ops[i] > 0)
-        op_estimate = (4 * d + it * (18 * d + 2) + 18 * full_updates
-                       + swaps[i] + collapse_ops[i])
-        snr_raw = p[i] * (s2[i] - s1[i]) / s1[i]
-        params = MixtureParams(weight_active=p[i], var_small=s1[i], var_large=s2[i])
-        results.append(EmResult(params=params, iterations=it, converged=converged[i],
-                                n0_em=s1[i], snr_em=max(snr_raw, 0.0),
-                                op_estimate=op_estimate,
-                                loglik_trace=tuple(trace[i])))
-    return results
+    its = np.array(iterations)
+    collapse = np.array(collapse_ops)
+    op_estimate = (4 * d + its * (18 * d + 2) + 18 * (its - (collapse > 0))
+                   + np.array(swaps) + collapse)
+    return EmRows(weight=np.array(p), var_small=np.array(s1), var_large=np.array(s2),
+                  iterations=its, converged=np.array(converged), op_estimate=op_estimate,
+                  loglik_trace=None if traces is None else [tuple(t) for t in traces])
 
 
 def em_fit(z, init: MixtureParams) -> EmResult:

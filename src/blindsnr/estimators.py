@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import INFINITE_POWER, LOG2, ComplexVector, abs_squared
+from .core import INFINITE_POWER, INFINITE_SNR, LOG2, ComplexVector, abs_squared
 from .selection import median_from_sorted
 
 if TYPE_CHECKING:  # only used in signatures; the object is duck-typed here
@@ -105,6 +105,8 @@ def estimate_snr(y: ComplexVector, n0_hat: float) -> SnrEstimate:
     if not 0.0 < n0_hat < math.inf:
         raise ValueError("n0_hat must be strictly positive and finite")
     raw = _mean_power(y.values) / n0_hat - 1.0
+    if raw == math.inf:
+        raise ValueError(INFINITE_SNR)
     return SnrEstimate(value=max(raw, 0.0), raw=raw)
 
 
@@ -160,6 +162,9 @@ def genie_rows(s, n, fy):
         if (n0_bar <= 0.0).any():
             raise ValueError("genie SNR undefined for an all-zero noise realization")
         e0_bar = abs_squared(fy - s).sum(axis=-1) / d
+        snr_bar = es_bar / n0_bar
     if not (np.isfinite(es_bar) & np.isfinite(n0_bar) & np.isfinite(e0_bar)).all():
         raise ValueError(INFINITE_POWER)
-    return es_bar, n0_bar, es_bar / n0_bar, e0_bar
+    if not snr_bar.max() < math.inf:
+        raise ValueError(INFINITE_SNR)
+    return es_bar, n0_bar, snr_bar, e0_bar

@@ -16,16 +16,20 @@ are not observable; its counter reports zero comparisons.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OpCounter, RngStream
+from .core import INFINITE_POWER, OpCounter, RngStream
 
 MEDIAN_METHODS = ("quickselect", "full_sort")
 
 # Fixed fallback key so selection stays deterministic when no stream is given.
 _DEFAULT_PIVOT_SEED = 0x5E1EC7
+
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,24 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
 def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
     """Sample median of each row of an array sorted ascending along its last
     axis (no re-sort): one median per row. NaN or infinite entries, which
-    sort to the ends of a row, are rejected as in :func:`sample_median`."""
+    sort to the ends of a row, are rejected as in :func:`sample_median`,
+    and a median whose two central values sum past the float range raises
+    ValueError(INFINITE_POWER). So a median is at most half the float
+    maximum, and the noise estimate median / log 2 is finite."""
     d = sorted_x.shape[-1]
     if d == 0:
         raise ValueError("cannot take the median of an empty array")
-    if not (np.isfinite(sorted_x[..., 0]).all() and np.isfinite(sorted_x[..., -1]).all()):
-        raise ValueError("input contains NaN or infinite entries")
     lo = (d + 1) // 2
     hi = d // 2 + 1
-    return 0.5 * (sorted_x[..., lo - 1] + sorted_x[..., hi - 1])
+    low, high = sorted_x[..., lo - 1], sorted_x[..., hi - 1]
+    # below half the float range the central sum cannot overflow
+    finite_first = np.isfinite(sorted_x[..., 0]).all()
+    if finite_first and sorted_x[..., -1].max() <= _HALF_MAX:
+        return 0.5 * (low + high)
+    if not (finite_first and np.isfinite(sorted_x[..., -1]).all()):
+        raise ValueError("input contains NaN or infinite entries")
+    with np.errstate(over="ignore"):
+        median = 0.5 * (low + high)
+    if not median.max() < math.inf:
+        raise ValueError(INFINITE_POWER)
+    return median

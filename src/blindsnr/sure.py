@@ -29,7 +29,9 @@ pipeline (noise, signal power, SNR and risk estimate from one |y|^2 and
 one sort). The per-vector functions are one-row calls into the same
 kernels. Every function here raises ValueError when |y|^2 of an input
 entry overflows; those that sum |y|^2 over a row (the search, the risk
-estimate, the blind pipeline) also when that sum does.
+estimate, the blind pipeline) also when that sum does or when
+the median of |y|^2 overflows, and the blind pipeline when its SNR
+quotient does.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INFINITE_POWER, LOG2, ComplexVector, abs_squared
+from .core import INFINITE_POWER, INFINITE_SNR, LOG2, ComplexVector, abs_squared
 from .estimators import (
     MseEstimate,
     NoisePowerEstimate,
@@ -327,10 +329,13 @@ def blind_rows(values) -> BlindRows:
     div_sum = np.where(keep, 2.0 - ratio, 0.0).sum(axis=1)
     ey = z.sum(axis=1) / d
     resid = abs_squared(shrunk - values).sum(axis=1) / d
-    safe = np.where(pos, n0, 1.0)
+    with np.errstate(over="ignore"):
+        snr = ey / np.where(pos, n0, 1.0) - 1.0
+    if not snr.max() < math.inf:
+        raise ValueError(INFINITE_SNR)
     return BlindRows(
         z=z, median_z=median_z, n0=n0, tau=tau, sure=np.where(pos, sure, 0.0),
-        shrunk=shrunk, signal=ey - n0, snr=np.where(pos, ey / safe - 1.0, 0.0),
+        shrunk=shrunk, signal=ey - n0, snr=np.where(pos, snr, 0.0),
         mse=np.where(pos, resid - n0 + n0 * div_sum / d, 0.0),
         divergence_sum=np.where(pos, div_sum, 0.0), sorted_r=sorted_r)
 

@@ -163,6 +163,10 @@ BAD_INPUTS = {
     # ran with finite rows before the headroom rule; 2^10 x dim 64 x the
     # entry power 1e306 exceeds DBL_MAX
     "entry-power-headroom": (["sweep-snr", "--n0", "1e300", "--snr-db", "50"], None),
+    # wrote snr,inf,nan: a draw's receive power over its blind noise
+    # estimate overflows
+    "blind-snr-overflow": (["sweep-snr", "--n0", "1e-300", "--snr-db", "3080", "--dim", "8",
+                            "--estimators", "blind"], None),
 }
 
 # A value other than the default for each setting of the settings table.

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindsnr import LOG2, MixtureParams, em_default_init, em_fit, em_step
-from blindsnr.em import (MAX_ITERATIONS, em_fit_rows, em_init_rows, mixture_loglik,
-                         paper_op_floor)
+from blindsnr.em import (MAX_ITERATIONS, _fit_rows, em_fit_rows, em_init_rows,
+                         mixture_loglik, paper_op_floor)
 
 
 def mixture_powers(rng, d, p=0.1, n0=1.0, eh=10.0):
@@ -268,8 +268,14 @@ def assert_rows_match_reference(z, init_kind):
     else:
         init = np.tile(INITS[init_kind], (len(z), 1))
     fits = em_fit_rows(z, init)
+    # the trace-free kernel call, as the CLI and the channel make it
+    lean = _fit_rows(z, init)
+    assert lean.loglik_trace is None
+    lean_fits = zip(lean.weight.tolist(), lean.var_small.tolist(), lean.var_large.tolist(),
+                    lean.iterations.tolist(), lean.converged.tolist(),
+                    lean.op_estimate.tolist())
     outcomes = []
-    for row, start, fit in zip(z, init.tolist(), fits):
+    for row, start, fit, lean_fit in zip(z, init.tolist(), fits, lean_fits):
         params, iterations, converged, ops, trace = reference_em_fit(row, start)
         got = fit.params
         assert (got.weight_active, got.var_small, got.var_large) == params
@@ -277,6 +283,10 @@ def assert_rows_match_reference(z, init_kind):
         assert fit.loglik_trace == trace
         assert fit.n0_em == params[1]
         assert em_fit(row, MixtureParams(*start)) == fit
+        assert lean_fit == (*params, iterations, converged, ops)
+        sum_z = float(row.sum())
+        step = _reference_update(row, *start, sum_z, max(1e-12 * (sum_z / row.size), 5e-324))
+        assert em_step(row, MixtureParams(*start)) == MixtureParams(*step[:3])
         outcomes.append("collapsed_large" if got.weight_active == 0.0 and fit.converged
                         else "collapsed_small" if got.weight_active == 1.0
                         else "capped" if not converged else "converged")

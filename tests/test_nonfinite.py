@@ -8,6 +8,7 @@ from blindsnr import (
     ComplexVector,
     DenoiserFunction,
     MixtureParams,
+    abs_squared,
     blind_report,
     denoise_blind,
     estimate_mse,
@@ -19,7 +20,8 @@ from blindsnr import (
     soft_threshold,
     sure_of_threshold,
 )
-from blindsnr.em import em_fit_rows
+from blindsnr.em import em_fit_rows, em_init_rows
+from blindsnr.selection import median_from_sorted
 from blindsnr.sure import blind_rows, search_rows, soft_threshold_rows
 
 Y = ComplexVector(np.array([0.5, -1.0, 2.0, 0.0]), np.array([1.0, 0.25, -3.0, 0.0]))
@@ -55,7 +57,7 @@ def test_non_finite_parameter_raises(name, bad):
 
 # |y_d|^2 overflows at every entry; and a vector whose |y_d|^2 are finite
 # but sum to inf. The latter's median |y_d|^2 is 0.5 * (1 + 1e308), since a
-# median near the float maximum overflows in median_from_sorted on its own.
+# median near the float maximum raises on its own (HUGE_MEDIAN below).
 HUGE = ComplexVector(np.full(8, 1e200), np.zeros(8))
 HUGE_SUM = ComplexVector(np.repeat([1.0, 1e154], 4), np.zeros(8))
 UNIT = ComplexVector(np.ones(8), np.zeros(8))
@@ -98,3 +100,41 @@ def test_overflowing_power_raises(name, y):
 def test_overflowing_entry_raises(name):
     with pytest.raises(ValueError, match="infinite"):
         ENTRY_CALLS[name](HUGE)
+
+
+# finite |y|^2 whose median overflows: 0.5 * (1e308 + 1e308)
+HUGE_MEDIAN = ComplexVector(np.full(8, 1e154), np.zeros(8))
+MEDIAN_CALLS = {
+    "median_from_sorted": lambda y: median_from_sorted(np.sort(abs_squared(y))),
+    "estimate_noise_power": estimate_noise_power,
+    "blind_report": blind_report,
+    "blind_rows": lambda y: blind_rows(y.values[None]),
+    "em_init_rows": lambda y: em_init_rows(abs_squared(y)[None]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEDIAN_CALLS))
+def test_overflowing_median_raises(name):
+    with pytest.raises(ValueError, match="infinite"):
+        MEDIAN_CALLS[name](HUGE_MEDIAN)
+
+
+# finite powers whose SNR quotient overflows: the receive power 1e20 over a
+# noise estimate of 1e-300, and (blind) 3e10 / 8 over the median 1e-320 / log 2
+TINY_NOISE = ComplexVector(np.concatenate([np.full(5, 1e-160), np.full(3, 1e5)]),
+                           np.zeros(8))
+SNR_CALLS = {
+    "estimate_snr": lambda: estimate_snr(ComplexVector(np.full(8, 1e10), np.zeros(8)),
+                                         1e-300),
+    "blind_report": lambda: blind_report(TINY_NOISE),
+    "blind_rows": lambda: blind_rows(np.stack((Y.values[:4].repeat(2), TINY_NOISE.values))),
+    "genie_estimates": lambda: genie_estimates(
+        ComplexVector(np.full(8, 1e5), np.zeros(8)),
+        ComplexVector(np.full(8, 1e-160), np.zeros(8)), UNIT, DenoiserFunction.identity()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNR_CALLS))
+def test_overflowing_snr_raises(name):
+    with pytest.raises(ValueError, match="SNR estimate is infinite"):
+        SNR_CALLS[name]()
