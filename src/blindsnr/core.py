@@ -52,6 +52,14 @@ class ComplexVector:
         values = np.asarray(values, dtype=np.complex128)
         return cls(values.real, values.imag)
 
+    @classmethod
+    def _wrap(cls, values: np.ndarray) -> "ComplexVector":
+        """A vector over ``values`` itself, a 1-D complex128 array of finite
+        entries that no one else writes to: no check and no copy."""
+        v = cls.__new__(cls)
+        v._z = values
+        return v
+
     @property
     def values(self) -> np.ndarray:
         """The complex128 backing array (treat as read-only)."""

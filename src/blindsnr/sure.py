@@ -14,7 +14,13 @@ each magnitude from below (the divergence term of the crossing entry
 falls from 1 to 0), so the minimizer typically sits exactly on a sorted
 magnitude; the search below therefore evaluates every inter-order-
 statistic stationary point clamped to its interval, plus tau = 0 and the
-zero-map candidate, all in closed form after one sort: O(D log D) total.
+zero-map candidate, all in closed form. The sort is O(D log D); the
+search after it is O(D). Prefix sums of |y_d|^2 and suffix sums of
+1/|y_d| give the risk at a candidate from its rank, the count of
+magnitudes <= tau, and the ranks are closed-form too: the candidate of
+the interval [rs[k-1], rs[k]] has the k magnitudes before rs[k] below
+it, and rs[k] when it reaches it. Only a row with two equal magnitudes
+finds its ranks by binary search instead.
 These candidates ascend along each row, so the first minimum of the risk
 (``argmin``) is also the smallest tau among tied minima; no second sort
 is needed to pick it.
@@ -23,15 +29,15 @@ The fully blind variant reuses the same sorted array to form the
 median-based noise estimate, so a single sort serves both jobs.
 
 The kernels work on an (R, D) block of rows, with one noise power or
-threshold per row, and reject any other shape: :func:`search_rows`,
-:func:`soft_threshold_rows` and :func:`blind_rows`, the whole blind
-pipeline (noise, signal power, SNR and risk estimate from one |y|^2 and
-one sort). The per-vector functions are one-row calls into the same
-kernels. Every function here raises ValueError when |y|^2 of an input
-entry overflows; those that sum |y|^2 over a row (the search, the risk
-estimate, the blind pipeline) also when that sum does or when
-the median of |y|^2 overflows, and the blind pipeline when its SNR
-quotient does.
+threshold for all rows or one per row, and reject any other shape:
+:func:`search_rows`, :func:`soft_threshold_rows` and :func:`blind_rows`,
+the whole blind pipeline (noise, signal power, SNR and risk estimate
+from one |y|^2 and one sort). The per-vector functions are one-row calls
+into the same kernels. Every function here raises ValueError when |y|^2
+of an input entry overflows; those that sum |y|^2 over a row (the
+search, the risk estimate, the blind pipeline) also when that sum does
+or when the median of |y|^2 overflows, and the blind pipeline when its
+SNR quotient does.
 """
 
 from __future__ import annotations
@@ -84,21 +90,42 @@ def _rows(values) -> np.ndarray:
     return values
 
 
+def _per_row(param, rows: int, name: str) -> np.ndarray:
+    """``param`` as a float64 scalar or (R,) array; ValueError for any other shape."""
+    param = np.asarray(param, dtype=np.float64)
+    if param.shape not in ((), (rows,)):
+        raise ValueError(f"{name} must be a scalar or one per row, shape ({rows},); "
+                         f"got shape {param.shape}")
+    return param
+
+
 def _shrink(values: np.ndarray, r: np.ndarray, tau):
     """(y/|y|) max(|y| - tau, 0) entrywise, given r = |y| and a tau that
     broadcasts against it (an (R, 1) column for rows). Also returns the
     entries kept (r > tau) and tau / r on them, 0 elsewhere."""
     keep = r > tau
-    # kept entries have r > tau >= 0; the rest divide by 1 and are dropped
-    ratio = np.where(keep, tau / np.where(keep, r, 1.0), 0.0)
-    return values * np.where(keep, 1.0 - ratio, 0.0), keep, ratio
+    # kept entries have r > tau >= 0; the rest divide by 1, and multiplying
+    # by keep zeroes them
+    ratio = tau / np.where(keep, r, 1.0)
+    ratio *= keep
+    scale = 1.0 - ratio
+    scale *= keep
+    return values * scale, keep, ratio
+
+
+def _divergence(keep: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """The soft threshold's divergence from :func:`_shrink`'s ``keep`` and
+    ``ratio``: 2 - tau/|y_d| above tau, 0 below."""
+    div = 2.0 - ratio
+    div *= keep
+    return div
 
 
 def soft_threshold_rows(values, tau) -> np.ndarray:
     """Soft threshold of each row of a complex (R, D) array; ``tau`` is one
     non-negative finite threshold, or one per row."""
     values = _rows(values)
-    tau = np.asarray(tau, dtype=np.float64)
+    tau = _per_row(tau, values.shape[0], "tau")
     if not ((tau >= 0.0) & (tau < math.inf)).all():
         raise ValueError("tau must be non-negative and finite")
     return _shrink(values, _magnitudes(values), tau[..., None])[0]
@@ -160,7 +187,7 @@ class DenoiserFunction:
         if self.kind == "zero":
             return np.zeros(y.dim)
         _, keep, ratio = _shrink(y.values, _magnitudes(y.values), self.tau)
-        return np.where(keep, 2.0 - ratio, 0.0)
+        return _divergence(keep, ratio)
 
     def __repr__(self) -> str:
         if self.kind == "soft_threshold":
@@ -192,47 +219,86 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     return term1 - n0 + n0 * div / d
 
 
-def _search_sorted(rs: np.ndarray, n0: np.ndarray):
+def _ranks(rs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The count of entries <= tau in each row of ascending magnitudes
+    ``rs``, (R, D), at each of the row's D + 2 candidates ``taus``: 0, then
+    candidate k + 1 in [rs[k-1], rs[k]] for k < D, then rs[-1].
+
+    With no two equal magnitudes in a row the count is closed-form:
+    tau = 0 has at most the one zero rs[0] below it, candidate k + 1 has
+    the k entries before rs[k] below it, and rs[k] too when it reaches it,
+    and rs[-1] has all D. Rows with equal neighbours search for it.
+    """
+    d = rs.shape[1]
+    j = np.empty(taus.shape, dtype=np.intp)
+    j[:, 0] = rs[:, 0] <= 0.0
+    np.greater_equal(taus[:, 1:-1], rs, out=j[:, 1:-1])
+    j[:, 1:-1] += np.arange(d)
+    j[:, -1] = d
+    tied = rs[:, 1:] == rs[:, :-1]
+    if tied.any():
+        for row in np.flatnonzero(tied.any(axis=1)):
+            j[row] = rs[row].searchsorted(taus[row], side="right")
+    return j
+
+
+def _search_sorted(rs: np.ndarray, n0):
     """SURE minimum over tau >= 0 for each row of ascending magnitudes.
 
-    ``rs`` is (R, D) and ``n0`` an (R, 1) column. Returns (tau_star,
-    sure_at_tau), one per row; ValueError when a row's sum of squared
-    magnitudes overflows.
+    ``rs`` is (R, D) and ``n0`` a scalar or an (R, 1) column. Returns
+    (tau_star, sure_at_tau), one per row; ValueError when a row's sum of
+    squared magnitudes overflows.
 
     Each row's D + 2 candidates ascend: 0, the stationary point of each
     interval [rs[k-1], rs[k]] clamped into it, then rs[-1]. So the first
     minimum ``argmin`` finds is the smallest tau among tied risks.
     """
     rows, d = rs.shape
-    prefix_z = np.zeros((rows, d + 1))      # sum of rs^2 over the k smallest
-    suffix_recip = np.zeros((rows, d + 1))  # sum of 1/rs over all but the k smallest
+    # sums[0, :, k]: rs^2 summed over the k smallest; sums[1, :, k]: 1/rs
+    # summed over all but the k smallest
+    sums = np.zeros((2, rows, d + 1))
+    prefix_z, suffix_recip = sums[0], sums[1]
     taus = np.zeros((rows, d + 2))
     taus[:, -1] = rs[:, -1]
     stationary = taus[:, 1:-1]
-    # For tau in [rs[k-1], rs[k]) exactly k entries sit below threshold;
-    # the above-set has c = d - k entries and the smooth piece is minimized
-    # at tau = n0 * S / (2 c) with S the reciprocal sum over the above-set.
-    # n0 * S may overflow to inf, which the clamp maps to rs[k] as it would
-    # the exact value.
+    # n0 * S and the risk terms may overflow to inf: the clamp maps an
+    # infinite stationary point to rs[k] as it would the exact value, and
+    # argmin passes over an infinite risk
     with np.errstate(over="ignore"):
-        (rs * rs).cumsum(axis=1, out=prefix_z[:, 1:])
+        np.multiply(rs, rs, out=prefix_z[:, 1:])
+        np.add.accumulate(prefix_z[:, 1:], axis=1, out=prefix_z[:, 1:])
         if not prefix_z[:, -1].max() < math.inf:
             raise ValueError(INFINITE_POWER)
-        recip = np.divide(1.0, rs, out=np.zeros(rs.shape), where=rs > 0.0)
-        recip[:, ::-1].cumsum(axis=1, out=suffix_recip[:, d - 1::-1])
-        np.divide(n0 * suffix_recip[:, :d], np.arange(2 * d, 0, -2.0), out=stationary)
-    # the clamp to [rs[k-1], rs[k]]; tau_raw >= 0 already at k = 0
-    np.maximum(stationary[:, 1:], rs[:, :-1], out=stationary[:, 1:])
-    np.minimum(stationary, rs, out=stationary)
+        np.divide(1.0, rs, out=suffix_recip[:, :d], where=rs > 0.0)
+        reverse = suffix_recip[:, d - 1::-1]
+        np.add.accumulate(reverse, axis=1, out=reverse)
+        # For tau in [rs[k-1], rs[k]) exactly k entries sit below threshold;
+        # the above-set has c = d - k entries and the smooth piece is
+        # minimized at tau = n0 * S / (2 c) with S the reciprocal sum over
+        # the above-set.
+        np.multiply(n0, suffix_recip[:, :d], out=stationary)
+        stationary /= np.arange(2 * d, 0, -2.0)
+        # the clamp to [rs[k-1], rs[k]]; tau_raw >= 0 already at k = 0
+        np.maximum(stationary[:, 1:], rs[:, :-1], out=stationary[:, 1:])
+        np.minimum(stationary, rs, out=stationary)
 
-    # exact SURE at each candidate: entries <= tau are below threshold
-    j = np.empty(taus.shape, dtype=np.intp)
-    for row in range(rows):
-        j[row] = rs[row].searchsorted(taus[row], side="right")
-    at = j + np.arange(0, rows * (d + 1), d + 1)[:, None]  # flat index into (R, d + 1)
-    above = np.subtract(d, j, dtype=np.float64)
-    sures = (prefix_z.take(at) + above * taus * taus) / d - n0 \
-        + (n0 / d) * (2.0 * above - taus * suffix_recip.take(at))
+        # exact SURE at each candidate, in place, from its rank j: with
+        # above = d - j and P, S the sums at j,
+        # (P + above tau^2) / d - n0 + (n0 / d) (2 above - tau S)
+        j = _ranks(rs, taus)
+        above = np.subtract(d, j, dtype=np.float64)
+        j += np.arange(0, rows * (d + 1), d + 1)[:, None]  # flat index into (R, d + 1)
+        prefix, suffix = sums.reshape(2, -1).take(j, axis=1)
+        sures = np.multiply(above, taus)
+        sures *= taus
+        sures += prefix
+        sures /= d
+        sures -= n0
+        above *= 2.0
+        suffix *= taus
+        above -= suffix
+        above *= n0 / d
+        sures += above
 
     best = sures.argmin(axis=1)  # the first minimum: ties go to the smaller tau
     best += np.arange(0, rows * (d + 2), d + 2)
@@ -246,7 +312,7 @@ def search_rows(values, n0):
     (tau_star, sure_at_tau), one per row; see :func:`search_threshold`.
     """
     values = _rows(values)
-    n0 = np.asarray(n0, dtype=np.float64)
+    n0 = _per_row(n0, values.shape[0], "n0")
     if not ((n0 > 0.0) & (n0 < math.inf)).all():
         raise ValueError("n0 must be positive and finite")
     # not _magnitudes: the search checks each row's sum of |y|^2 itself
@@ -256,11 +322,22 @@ def search_rows(values, n0):
 def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
     """Minimize the soft-threshold risk estimate over tau >= 0.
 
-    Sorts the magnitudes once and evaluates, in closed form, the clamped
-    stationary point of every inter-order-statistic interval plus tau = 0
-    and the zero-map candidate; total cost O(D log D).
+    Sorts the magnitudes once, O(D log D), then evaluates in O(D), in
+    closed form, the clamped stationary point of every inter-order-statistic
+    interval plus tau = 0 and the zero-map candidate. A one-row call into
+    the kernel of :func:`search_rows`.
     """
-    (tau,), (sure,) = search_rows(y.values[None], n0)
+    n0 = float(n0)
+    if not 0.0 < n0 < math.inf:
+        raise ValueError("n0 must be positive and finite")
+    # not _magnitudes: the search checks the sum of |y|^2 itself
+    values = y.values
+    with np.errstate(over="ignore"):
+        rs = values.real * values.real
+        rs += values.imag * values.imag
+    np.sqrt(rs, out=rs)
+    rs.sort()
+    (tau,), (sure,) = _search_sorted(rs[None], n0)
     return ThresholdSearchResult(tau_star=float(tau), sure_at_tau=float(sure),
                                  n0_used=float(n0), candidates_evaluated=y.dim + 2)
 
@@ -318,26 +395,28 @@ def blind_rows(values) -> BlindRows:
     zs = np.sort(z, axis=1)
     median_z = median_from_sorted(zs)
     n0 = median_z / LOG2
-    sorted_r = np.sqrt(zs)
+    sorted_r = np.sqrt(zs, out=zs)
     tau, sure = _search_sorted(sorted_r, n0[:, None])
     # a zero noise estimate (at least half the entries zero) gets no
-    # threshold, SNR or risk
+    # threshold, SNR or risk; with none, nothing is masked
     pos = n0 > 0.0
-    tau = np.where(pos, tau, 0.0)
+    masked = not pos.all()
+    if masked:
+        tau = np.where(pos, tau, 0.0)
     shrunk, keep, ratio = _shrink(values, np.sqrt(z), tau[:, None])
-    # the soft threshold's divergence: 2 - tau/|y_d| above tau, 0 below
-    div_sum = np.where(keep, 2.0 - ratio, 0.0).sum(axis=1)
+    div_sum = _divergence(keep, ratio).sum(axis=1)
     ey = z.sum(axis=1) / d
     resid = abs_squared(shrunk - values).sum(axis=1) / d
     with np.errstate(over="ignore"):
-        snr = ey / np.where(pos, n0, 1.0) - 1.0
+        snr = ey / (np.where(pos, n0, 1.0) if masked else n0) - 1.0
     if not snr.max() < math.inf:
         raise ValueError(INFINITE_SNR)
+    mse = resid - n0 + n0 * div_sum / d
+    if masked:
+        sure, snr, mse, div_sum = (np.where(pos, a, 0.0) for a in (sure, snr, mse, div_sum))
     return BlindRows(
-        z=z, median_z=median_z, n0=n0, tau=tau, sure=np.where(pos, sure, 0.0),
-        shrunk=shrunk, signal=ey - n0, snr=np.where(pos, snr, 0.0),
-        mse=np.where(pos, resid - n0 + n0 * div_sum / d, 0.0),
-        divergence_sum=np.where(pos, div_sum, 0.0), sorted_r=sorted_r)
+        z=z, median_z=median_z, n0=n0, tau=tau, sure=sure, shrunk=shrunk,
+        signal=ey - n0, snr=snr, mse=mse, divergence_sum=div_sum, sorted_r=sorted_r)
 
 
 @dataclass(frozen=True)
@@ -366,7 +445,7 @@ def blind_report(y: ComplexVector) -> EstimateReport:
     if n0 > 0.0:
         search = ThresholdSearchResult(tau_star=tau, sure_at_tau=sure,
                                        n0_used=n0, candidates_evaluated=y.dim + 2)
-        denoised = ComplexVector(b.shrunk[0].real, b.shrunk[0].imag)
+        denoised = ComplexVector._wrap(b.shrunk[0])
     else:
         search = ThresholdSearchResult(tau_star=0.0, sure_at_tau=0.0,
                                        n0_used=0.0, candidates_evaluated=0)

@@ -138,3 +138,19 @@ SNR_CALLS = {
 def test_overflowing_snr_raises(name):
     with pytest.raises(ValueError, match="SNR estimate is infinite"):
         SNR_CALLS[name]()
+
+
+# |y|^2 sums to just below the float maximum, so candidate risks such as
+# 3 tau^2 overflow; and a noise power whose risk terms 2 n0 overflow. The
+# search passes over the infinite risks without numpy's warning.
+NEAR_MAX = ComplexVector(np.sqrt([1.05e308, 7.3e307, 6.9e305]), np.zeros(3))
+
+
+def test_overflowing_candidate_risk_is_skipped():
+    rep = blind_report(NEAR_MAX)
+    assert (rep.search.tau_star, rep.search.sure_at_tau) == \
+        (1.0246950765959599e+154, -4.575340465156101e+307)
+    found = search_threshold(NEAR_MAX, rep.noise.value)
+    assert (found.tau_star, found.sure_at_tau) == (rep.search.tau_star, rep.search.sure_at_tau)
+    found = search_threshold(UNIT, 1.7e308)  # the zero map: 1 - n0
+    assert (found.tau_star, found.sure_at_tau) == (1.0, -1.7e308)

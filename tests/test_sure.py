@@ -2,6 +2,7 @@
 row kernels against the per-vector code they replaced."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,23 +27,30 @@ from blindsnr import (
     sure_of_threshold,
 )
 from blindsnr.channel import _estimates
-from blindsnr.sure import blind_rows, search_rows, soft_threshold_rows
+from blindsnr.sure import _ranks, blind_rows, search_rows, soft_threshold_rows
 
 from conftest import bcg_params, draw_observation, reference_blind
 
 
 def grid_sure_min(y, n0, npts=100_000, tau_max=None):
-    """Brute-force oracle: the direct risk formula on a dense uniform grid."""
+    """Brute-force oracle: the direct risk formula on a dense uniform grid,
+    a block of grid points at a time in preallocated buffers."""
     z = abs_squared(y)
     r = np.sqrt(z)
     d = z.size
     taus = np.linspace(0.0, r.max() if tau_max is None else tau_max, npts)
+    terms = np.empty((4096, d))
+    below = np.empty((4096, d), dtype=bool)
     best = np.inf
-    for i in range(0, npts, 20_000):
-        t = taus[i:i + 20_000, None]
-        above = r[None, :] > t
-        term1 = np.minimum(z[None, :], t * t).sum(axis=1) / d
-        div = np.where(above, 2.0 - t / r[None, :], 0.0).sum(axis=1)
+    for i in range(0, npts, 4096):
+        t = taus[i:i + 4096, None]
+        term, at_or_below = terms[:t.size], below[:t.size]
+        term1 = np.minimum(z, t * t, out=term).sum(axis=1) / d
+        # the divergence: 2 - t/|y_d| above t, 0 at or below
+        np.divide(t, r, out=term)
+        np.subtract(2.0, term, out=term)
+        np.copyto(term, 0.0, where=np.less_equal(r, t, out=at_or_below))
+        div = term.sum(axis=1)
         best = min(best, float((term1 - n0 + n0 * div / d).min()))
     return best
 
@@ -399,6 +407,47 @@ class TestRowsMatchPerVectorReference:
         for k, row in enumerate(y):
             assert (tau[k], sure[k]) == reference_search(np.sort(np.sqrt(abs_squared(row))), 0.8)
 
+    @pytest.mark.parametrize("kind", ["noise", "tied"])
+    def test_long_rows(self, kind):
+        # past the largest dim of the hypothesis test
+        y = sure_rows_data(8, 2, 4096, kind)
+        n0 = np.array([0.9, 2.5])
+        tau, sure = search_rows(y, n0)
+        for k, row in enumerate(y):
+            assert (tau[k], sure[k]) == reference_search(np.sort(np.sqrt(abs_squared(row))), n0[k])
+
+    @pytest.mark.parametrize("mags", [
+        (0.3, 0.7, 1.1, 1.9, 2.6, 4.0, 4.0),            # the only tie: the two largest
+        (0.2, 0.5, 0.9, 1.4, 1.4, 1.4, 1.4, 2.8, 3.5),  # a run of equal magnitudes
+    ], ids=["top_pair", "middle_run"])
+    @pytest.mark.parametrize("n0", [0.05, 0.5, 2.0, 8.0, 50.0])
+    def test_tied_magnitudes(self, mags, n0):
+        y = ComplexVector(np.array(mags), np.zeros(len(mags)))
+        (tau,), (sure,) = search_rows(y.values[None], n0)
+        assert (tau, sure) == reference_search(np.array(mags), n0)
+        found = search_threshold(y, n0)
+        assert (found.tau_star, found.sure_at_tau) == (tau, sure)
+
+    def test_overflowing_stationary_point(self):
+        # n0 * S overflows to inf over a tiny magnitude; the clamp gives rs[k]
+        y = sure_rows_data(9, 2, 64, "noise")
+        y[:, 5] = 1e-150
+        tau, sure = search_rows(y, 1e300)
+        for k, row in enumerate(y):
+            assert (tau[k], sure[k]) == oracle_search(np.sort(np.sqrt(abs_squared(row))), 1e300)
+
+
+@pytest.mark.parametrize("kind", ["noise", "zero", "tied", "half_zero"])
+def test_closed_form_ranks_match_a_binary_search(kind):
+    # candidates at either end of each interval [rs[k-1], rs[k]] and inside it
+    rs = np.sort(np.sqrt(abs_squared(sure_rows_data(11, 6, 40, kind))), axis=1)
+    lower = np.concatenate((np.zeros((6, 1)), rs[:, :-1]), axis=1)
+    inside = np.clip(lower + np.random.default_rng(12).random(rs.shape) * (rs - lower), lower, rs)
+    for stationary in (lower, inside, rs):
+        taus = np.concatenate((np.zeros((6, 1)), stationary, rs[:, -1:]), axis=1)
+        expected = [row.searchsorted(t, side="right") for row, t in zip(rs, taus)]
+        np.testing.assert_array_equal(_ranks(rs, taus), expected)
+
 
 def assert_blind_matches_reference(y):
     """blind_rows on the (R, D) block, blind_rows on each row alone and
@@ -434,6 +483,18 @@ def assert_blind_matches_reference(y):
 def test_row_kernels_reject_one_vector(kernel):
     with pytest.raises(ValueError, match=r"\(R, D\)"):
         kernel(sure_rows_data(1, 1, 8, "noise")[0])
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (2,), (1,), (1, 3)])
+@pytest.mark.parametrize("kernel, name", [(search_rows, "n0"), (soft_threshold_rows, "tau")],
+                         ids=["search_rows", "soft_threshold_rows"])
+def test_row_kernels_take_one_parameter_or_one_per_row(kernel, name, shape):
+    y = sure_rows_data(2, 3, 8, "noise")
+    with pytest.raises(ValueError, match=rf"{name} must be a scalar or one per row, "
+                                         rf"shape \(3,\); got shape {re.escape(str(shape))}"):
+        kernel(y, np.ones(shape))
+    kernel(y, np.ones(3))  # one per row, and one for all, are accepted
+    kernel(y, 1.0)
 
 
 class TestBlindKernelMatchesComposition:
