@@ -21,11 +21,14 @@ together on blocks of at most 2^18 entries. The channel experiments
 likewise draw each trial once per run and evaluate every SNR point on
 the same draws, in one call per run.
 
-Every setting is read from one table, ``_SETTINGS``: a ``--config`` file
-holds ``key=value`` lines whose keys are the flag names (``snr_db`` for
-``--snr-db``), flags override the file, and file and flag values go
-through the same parser. ``SweepConfig`` range-checks the values, the
-channel's shape (antennas, users, paths) through ``ChannelConfig``.
+Every setting is read from one table, ``_SETTINGS``, into one
+``SweepConfig`` field: a ``--config`` file holds ``key=value`` lines whose
+keys are the flag names (``snr_db`` for ``--snr-db``), flags override the
+file, and file and flag values go through the same parser. ``--dim`` and
+``--p`` hold one value or a swept axis; ``SweepConfig.dim`` (default 64,
+128 antennas for the channel) and ``activity_rate`` (default 0.1) read
+their first entry. ``SweepConfig`` range-checks the values, the channel's
+shape (antennas, users, paths) through ``ChannelConfig``.
 
 Exit codes: 0 success, 1 I/O error writing the CSV or summary, 2 invalid
 configuration (an unreadable config file, an unknown key, a value that
@@ -53,8 +56,6 @@ from .estimators import genie_rows
 from .sure import BlindRows, _search_sorted, blind_rows
 from .theory import theorem1_bounds
 
-EXPERIMENTS = ("sweep_snr", "sweep_p", "sweep_dim", "bounds_grid",
-               "channel_mse", "channel_ber")
 ESTIMATOR_FAMILIES = ("blind", "em", "genie")
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("experiment_version", "experiment", "snr_db", "p", "dim",
@@ -71,27 +72,23 @@ class ConfigError(ValueError):
 class SweepConfig:
     experiment: str
     trials: int = 10000
-    dim: int = 64
-    activity_rate: float = 0.1
     n0: float = 1.0
     snr_points_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     seed: int = 0
     estimators: tuple = ESTIMATOR_FAMILIES
     output_path: str = "results.csv"
-    p_points: tuple = ()        # sweep_p and bounds_grid x-axis
-    dim_points: tuple = ()      # sweep_dim x-axis
+    p_points: tuple = ()        # --p: one value, or the sweep_p and bounds_grid axis
+    dim_points: tuple = ()      # --dim: one value, or the sweep_dim axis
     users: int = 8
     paths_per_user: int = 2
     summary: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in dict(_SUBCOMMANDS.values()):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if self.dim < 1:
-            raise ConfigError("dim must be at least 1")
-        for p in (self.activity_rate, *self.p_points):
+        for p in self.p_points:
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"p={p} outside (0, 1]")
         if not 0.0 < self.n0 < math.inf:
@@ -133,7 +130,7 @@ class SweepConfig:
                     powers = [noise_power(chan, snr_db, metric)]
                 else:
                     points = (_model_point(self, snr_db, p, max(dims))
-                              for p in (self.activity_rate, *self.p_points))
+                              for p in self.p_points or (self.activity_rate,))
                     powers = [prm.active_power + prm.noise_power for prm in points]
             except OverflowError as exc:
                 raise ConfigError(f"snr_db={snr_db} overflows the linear SNR") from exc
@@ -142,6 +139,18 @@ class SweepConfig:
             if not _HEADROOM * max(dims) * max(powers) < math.inf:
                 raise ConfigError(f"snr_db={snr_db}: {_HEADROOM:g} x dim x the entry "
                                   f"power {max(powers):g} leaves the float range")
+
+    @property
+    def dim(self) -> int:
+        """The first --dim entry, else 64 (128 antennas for the channel)."""
+        if self.dim_points:
+            return self.dim_points[0]
+        return 128 if self.experiment.startswith("channel") else 64
+
+    @property
+    def activity_rate(self) -> float:
+        """The first --p entry, else 0.1."""
+        return self.p_points[0] if self.p_points else 0.1
 
     @functools.cached_property
     def channel(self) -> ChannelConfig:
@@ -333,13 +342,13 @@ def run_channel(cfg: SweepConfig) -> list:
     return rows
 
 
-_DISPATCH = {
-    "sweep_snr": run_sweep_snr,
-    "sweep_p": run_sweep_p,
-    "sweep_dim": run_sweep_dim,
-    "bounds_grid": run_bounds_grid,
-    "channel_mse": run_channel,
-    "channel_ber": run_channel,
+_SUBCOMMANDS = {
+    "sweep-snr": ("sweep_snr", run_sweep_snr),
+    "sweep-p": ("sweep_p", run_sweep_p),
+    "sweep-dim": ("sweep_dim", run_sweep_dim),
+    "bounds": ("bounds_grid", run_bounds_grid),
+    "channel-mse": ("channel_mse", run_channel),
+    "channel-ber": ("channel_ber", run_channel),
 }
 
 
@@ -378,22 +387,12 @@ def _summary_assertions(cfg: SweepConfig, rows: list) -> list:
         checks.append(("ber_in_unit_interval", all(0.0 <= b <= 1.0 for b in bers)))
         ml = {r.snr_db: r.mean for r in by("ml", "ber")}
         perfect = {r.snr_db: r.mean for r in by("perfect_csi", "ber")}
-        bits = cfg.trials * 4 * cfg.users
+        bits = json.loads(rows[0].extra)["bits"]
         slack = 3.0 * max((math.sqrt(b * (1 - b) / bits) for b in ml.values()),
                           default=0.0) + 5.0 / bits
         checks.append(("perfect_csi_not_worse_than_ml",
                        all(perfect[s] <= ml[s] + slack for s in perfect)))
     return [{"name": name, "passed": bool(ok)} for name, ok in checks]
-
-
-_SUBCOMMANDS = {
-    "sweep-snr": "sweep_snr",
-    "sweep-p": "sweep_p",
-    "sweep-dim": "sweep_dim",
-    "bounds": "bounds_grid",
-    "channel-mse": "channel_mse",
-    "channel-ber": "channel_ber",
-}
 
 
 def _list(item):
@@ -407,21 +406,19 @@ def _bool(text: str) -> bool:
 
 
 # Each setting, keyed by its flag name: the parser of its text, the
-# SweepConfig fields it sets, and its help. A setting with two fields is a
-# list whose first entry also sets the first field.
+# SweepConfig field it sets, and its help.
 _SETTINGS = {
-    "trials": (int, ("trials",), None),
-    "dim": (_list(int), ("dim", "dim_points"), "dimension (comma list for sweep-dim)"),
-    "p": (_list(float), ("activity_rate", "p_points"),
-          "activity rate (comma list for sweep-p/bounds)"),
-    "n0": (float, ("n0",), None),
-    "snr_db": (_list(float), ("snr_points_db",), "comma list of SNR points in dB"),
-    "seed": (int, ("seed",), None),
-    "out": (str, ("output_path",), None),
-    "estimators": (_list(str), ("estimators",), "comma subset of blind,em,genie"),
-    "users": (int, ("users",), None),
-    "paths": (int, ("paths_per_user",), None),
-    "summary": (_bool, ("summary",), "also write <out>.summary.json"),
+    "trials": (int, "trials", None),
+    "dim": (_list(int), "dim_points", "dimension (comma list for sweep-dim)"),
+    "p": (_list(float), "p_points", "activity rate (comma list for sweep-p/bounds)"),
+    "n0": (float, "n0", None),
+    "snr_db": (_list(float), "snr_points_db", "comma list of SNR points in dB"),
+    "seed": (int, "seed", None),
+    "out": (str, "output_path", None),
+    "estimators": (_list(str), "estimators", "comma subset of blind,em,genie"),
+    "users": (int, "users", None),
+    "paths": (int, "paths_per_user", None),
+    "summary": (_bool, "summary", "also write <out>.summary.json"),
 }
 
 
@@ -467,18 +464,13 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     settings = _read_config_file(args.config) if args.config else {}
     settings.update((key, getattr(args, key)) for key in _SETTINGS
                     if getattr(args, key) is not None)
-    kwargs = {"experiment": _SUBCOMMANDS[args.command]}
-    if kwargs["experiment"].startswith("channel"):
-        kwargs["dim"] = 128  # antenna count; estimator sweeps default to 64
+    kwargs = {"experiment": _SUBCOMMANDS[args.command][0]}
     for key, text in settings.items():
-        parse, fields, _ = _SETTINGS[key]
+        parse, field, _ = _SETTINGS[key]
         try:
-            value = parse(text)
+            kwargs[field] = parse(text)
         except ValueError as exc:
             raise ConfigError(f"{key}={text!r}: {exc}") from exc
-        if len(fields) == 2:
-            kwargs[fields[0]] = value[0]
-        kwargs[fields[-1]] = value
     return SweepConfig(**kwargs)
 
 
@@ -490,7 +482,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _build_config(args)
-        rows = _DISPATCH[cfg.experiment](cfg)
+        rows = dict(_SUBCOMMANDS.values())[cfg.experiment](cfg)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -152,11 +152,12 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
 
 def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
     """Sample median of each row of an array sorted ascending along its last
-    axis (no re-sort): one median per row. NaN or infinite entries, which
-    sort to the ends of a row, are rejected as in :func:`sample_median`,
-    and a median whose two central values sum past the float range raises
-    ValueError(INFINITE_POWER). So a median is at most half the float
-    maximum, and the noise estimate median / log 2 is finite."""
+    axis (no re-sort): one median per row. NaN or -inf entries, which
+    sort to the ends of a row, are rejected as in :func:`sample_median`;
+    +inf entries (an overflowed |y|^2), and a median whose two central
+    values sum past the float range, raise ValueError(INFINITE_POWER). So
+    a median is at most half the float maximum, and the noise estimate
+    median / log 2 is finite."""
     d = sorted_x.shape[-1]
     if d == 0:
         raise ValueError("cannot take the median of an empty array")
@@ -168,7 +169,9 @@ def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
     if finite_first and sorted_x[..., -1].max() <= _HALF_MAX:
         return 0.5 * (low + high)
     if not (finite_first and np.isfinite(sorted_x[..., -1]).all()):
-        raise ValueError("input contains NaN or infinite entries")
+        if np.isnan(sorted_x[..., -1]).any() or np.isneginf(sorted_x[..., 0]).any():
+            raise ValueError("input contains NaN or infinite entries")
+        raise ValueError(INFINITE_POWER)
     with np.errstate(over="ignore"):
         median = 0.5 * (low + high)
     if not median.max() < math.inf:

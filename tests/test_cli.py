@@ -1,6 +1,7 @@
 """CLI harness: schema, determinism, exit codes, and config handling."""
 
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -267,9 +268,14 @@ class TestConfigAndExitCodes:
         flag = "--" + key.replace("_", "-")
         from_file = config("--config", str(tmp_path / "exp.cfg"))
         assert from_file == config(flag if key == "summary" else f"{flag}={value}")
-        parse, fields, _ = cli._SETTINGS[key]
-        assert getattr(from_file, fields[-1]) == parse(value)
-        assert getattr(from_file, fields[-1]) != getattr(SweepConfig("sweep_snr"), fields[-1])
+        parse, field, _ = cli._SETTINGS[key]
+        assert getattr(from_file, field) == parse(value)
+        assert getattr(from_file, field) != getattr(SweepConfig("sweep_snr"), field)
+
+    def test_one_field_per_setting(self):
+        # the experiment, then one SweepConfig field per setting, no two alike
+        fields = sorted(f.name for f in dataclasses.fields(SweepConfig))
+        assert fields == sorted(["experiment", *(f for _, f, _ in cli._SETTINGS.values())])
 
     def test_entry_power_headroom_boundary(self, tmp_path):
         # at p = 1 and 0 dB the entry power is 2 n0, so dim 64 admits
@@ -299,11 +305,11 @@ class TestConfigAndExitCodes:
         for bad in ({"snr_points_db": ()}, {"snr_points_db": (0.0, math.nan)},
                     {"estimators": ("blind", "oracle")}, {"estimators": ()},
                     {"seed": -1}, {"n0": math.inf}, {"p_points": (0.1, 1.5)},
-                    {"activity_rate": 0.0, "p_points": (0.1,)},
+                    {"p_points": (0.0,)},
                     {"dim_points": (32, 64)}, {"p_points": (0.1, 0.2)},
                     {"snr_points_db": (4000.0,)}, {"snr_points_db": (-4000.0,)},
                     {"n0": 1e300, "snr_points_db": (70.0,)},
-                    {"activity_rate": 1e-320, "snr_points_db": (0.0,)}):
+                    {"p_points": (1e-320,), "snr_points_db": (0.0,)}):
             with pytest.raises(ConfigError):
                 SweepConfig(experiment="sweep_snr", **bad)
         for experiment, bad in (("sweep_p", {"dim_points": (32, 64)}),
@@ -317,7 +323,7 @@ class TestConfigAndExitCodes:
                 SweepConfig(experiment=experiment, **bad)
         # the channel's shape is checked before its noise power
         with pytest.raises(ConfigError, match="users must lie"):
-            SweepConfig(experiment="channel_ber", dim=128, users=0)
+            SweepConfig(experiment="channel_ber", dim_points=(128,), users=0)
         # one-entry lists, and lists where they are read, stay valid
         SweepConfig(experiment="sweep_snr", dim_points=(32,), p_points=(0.2,))
         SweepConfig(experiment="sweep_dim", dim_points=(32, 64))
@@ -341,13 +347,18 @@ class TestOtherSweeps:
         assert code == 0
         assert {r["dim"] for r in read_rows(out)} == {"32", "128"}
 
-    def test_library_entry_point_matches_cli(self, tmp_path):
-        cfg = SweepConfig(experiment="sweep_snr", trials=10,
-                          snr_points_db=(0.0,), estimators=("blind",),
-                          output_path=str(tmp_path / "lib.csv"), seed=11)
-        rows = run_sweep_snr(cfg)
-        assert len(rows) == 4
-        assert all(r.family == "blind" for r in rows)
+    @pytest.mark.parametrize("command,runner", [("sweep-snr", run_sweep_snr),
+                                                ("channel-mse", cli.run_channel)],
+                             ids=["sweep-snr", "channel-mse"])
+    def test_library_entry_point_matches_cli(self, tmp_path, command, runner):
+        # no --dim: the library and the CLI take the same default dim
+        lib, flags = tmp_path / "lib.csv", tmp_path / "cli.csv"
+        cfg = SweepConfig(experiment=command.replace("-", "_"), trials=3,
+                          snr_points_db=(0.0,), estimators=("blind",), seed=11)
+        cli.write_csv(runner(cfg), str(lib))
+        assert main([command, "--trials", "3", "--snr-db", "0", "--estimators", "blind",
+                     "--seed", "11", "--out", str(flags)]) == 0
+        assert lib.read_bytes() == flags.read_bytes()
 
 
 class TestStats:
@@ -433,7 +444,7 @@ class TestTrialTableMatchesPerTrialLoop:
     def test_bit_identical(self, seed, trials, dim, n0, points, families, block_entries):
         if dim < 2:
             families = tuple(f for f in families if f != "em")
-        cfg = SweepConfig(experiment="sweep_snr", trials=trials, dim=dim, n0=n0,
+        cfg = SweepConfig(experiment="sweep_snr", trials=trials, dim_points=(dim,), n0=n0,
                           seed=seed, estimators=families)
         params = [cli._model_point(cfg, snr_db, p, dim) for snr_db, p in points]
         entries = core._BLOCK_ENTRIES if block_entries is None else block_entries

@@ -1,6 +1,8 @@
 """Non-finite parameters, and inputs whose |y|^2 overflows, raise ValueError
 instead of leaving the library as NaN or inf."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from blindsnr import (
     soft_threshold,
     sure_of_threshold,
 )
+from blindsnr.core import INFINITE_POWER
 from blindsnr.em import em_fit_rows, em_init_rows
 from blindsnr.selection import median_from_sorted
 from blindsnr.sure import blind_rows, search_rows, soft_threshold_rows
@@ -92,14 +95,21 @@ ENTRY_CALLS = {
 @pytest.mark.parametrize("y", [HUGE, HUGE_SUM], ids=["entry", "sum"])
 @pytest.mark.parametrize("name", sorted(POWER_CALLS))
 def test_overflowing_power_raises(name, y):
-    with pytest.raises(ValueError, match="infinite"):
+    with pytest.raises(ValueError, match=re.escape(INFINITE_POWER)):
         POWER_CALLS[name](y)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_CALLS))
 def test_overflowing_entry_raises(name):
-    with pytest.raises(ValueError, match="infinite"):
+    with pytest.raises(ValueError, match=re.escape(INFINITE_POWER)):
         ENTRY_CALLS[name](HUGE)
+
+
+def test_nan_row_keeps_the_non_finite_text():
+    # a NaN |y_d|^2 is bad input, not an overflow
+    rows = np.stack((Y.values, np.where(np.arange(4) == 1, NAN, Y.values)))
+    with pytest.raises(ValueError, match="input contains NaN or infinite entries"):
+        blind_rows(rows)
 
 
 # finite |y|^2 whose median overflows: 0.5 * (1e308 + 1e308)
@@ -115,7 +125,7 @@ MEDIAN_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(MEDIAN_CALLS))
 def test_overflowing_median_raises(name):
-    with pytest.raises(ValueError, match="infinite"):
+    with pytest.raises(ValueError, match=re.escape(INFINITE_POWER)):
         MEDIAN_CALLS[name](HUGE_MEDIAN)
 
 
