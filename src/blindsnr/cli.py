@@ -27,13 +27,15 @@ keys are the flag names (``snr_db`` for ``--snr-db``), flags override the
 file, and file and flag values go through the same parser. ``--dim`` and
 ``--p`` hold one value or a swept axis; ``SweepConfig.dim`` (default 64,
 128 antennas for the channel) and ``activity_rate`` (default 0.1) read
-their first entry. ``SweepConfig`` range-checks the values, the channel's
-shape (antennas, users, paths) through ``ChannelConfig``.
+their first entry, and ``points`` lists the (snr_db, p) pairs a run
+evaluates (the first SNR only for sweep-p and sweep-dim). ``SweepConfig``
+range-checks the values, the power at each point the run evaluates, and
+the channel's shape (antennas, users, paths) through ``ChannelConfig``.
 
 Exit codes: 0 success, 1 I/O error writing the CSV or summary, 2 invalid
 configuration (an unreadable config file, an unknown key, a value that
-does not parse or is out of range, or powers at which an estimate of the
-draws overflows), 3 summary assertion failure (with ``--summary``).
+does not parse or is out of range, or an SNR point that the run evaluates
+where an estimate overflows), 3 summary assertion failure (``--summary``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .sure import BlindRows, _search_sorted, blind_rows
 from .theory import theorem1_bounds
 
 ESTIMATOR_FAMILIES = ("blind", "em", "genie")
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 CSV_COLUMNS = ("experiment_version", "experiment", "snr_db", "p", "dim",
                "trials", "family", "quantity", "mean", "stddev", "truth",
                "extra")
@@ -112,7 +114,7 @@ class SweepConfig:
             raise ConfigError("only sweep_dim takes a comma list of dims")
         if self.experiment not in ("sweep_p", "bounds_grid") and len(self.p_points) > 1:
             raise ConfigError("only sweep_p and bounds_grid take a comma list of p values")
-        dims = self.dim_points if self.experiment == "sweep_dim" else (self.dim,)
+        dims = self.dim_points or (self.dim,)
         if min(dims) < 1:
             raise ConfigError(f"dim={min(dims)} must be positive")
         if (self.experiment in ("sweep_snr", "sweep_p", "sweep_dim")
@@ -123,22 +125,20 @@ class SweepConfig:
             raise ConfigError("the channel experiments run beaches_em, which needs "
                               "dim >= 2 antennas")
         chan = self.channel if self.experiment.startswith("channel") else None
-        for snr_db in self.snr_points_db:
+        for snr_db, p in self.points:  # the channel has one p: once per SNR point
             try:
                 if chan:
-                    metric = self.experiment[len("channel_"):]
-                    powers = [noise_power(chan, snr_db, metric)]
+                    power = noise_power(chan, snr_db, self.experiment[len("channel_"):])
                 else:
-                    points = (_model_point(self, snr_db, p, max(dims))
-                              for p in self.p_points or (self.activity_rate,))
-                    powers = [prm.active_power + prm.noise_power for prm in points]
+                    prm = _model_point(self, snr_db, p, max(dims))
+                    power = prm.active_power + prm.noise_power
             except OverflowError as exc:
                 raise ConfigError(f"snr_db={snr_db} overflows the linear SNR") from exc
             except ValueError as exc:
                 raise ConfigError(f"snr_db={snr_db}: {exc}") from exc
-            if not _HEADROOM * max(dims) * max(powers) < math.inf:
+            if not _HEADROOM * max(dims) * power < math.inf:
                 raise ConfigError(f"snr_db={snr_db}: {_HEADROOM:g} x dim x the entry "
-                                  f"power {max(powers):g} leaves the float range")
+                                  f"power {power:g} leaves the float range")
 
     @property
     def dim(self) -> int:
@@ -151,6 +151,14 @@ class SweepConfig:
     def activity_rate(self) -> float:
         """The first --p entry, else 0.1."""
         return self.p_points[0] if self.p_points else 0.1
+
+    @property
+    def points(self) -> list:
+        """The (snr_db, p) pairs a run evaluates at each dim, in row order:
+        p outer, SNR inner. sweep_p and sweep_dim read the first SNR only."""
+        one_snr = self.experiment in ("sweep_p", "sweep_dim")
+        return [(float(snr_db), float(p)) for p in self.p_points or (self.activity_rate,)
+                for snr_db in (self.snr_points_db[:1] if one_snr else self.snr_points_db)]
 
     @functools.cached_property
     def channel(self) -> ChannelConfig:
@@ -267,42 +275,27 @@ def _estimator_rows(cfg: SweepConfig, dim: int, points: list) -> list:
     return rows
 
 
-def run_sweep_snr(cfg: SweepConfig) -> list:
-    """Estimator accuracy vs SNR at fixed (p, dim, n0)."""
-    return _estimator_rows(cfg, cfg.dim, [(float(snr_db), cfg.activity_rate)
-                                          for snr_db in cfg.snr_points_db])
-
-
-def run_sweep_p(cfg: SweepConfig) -> list:
-    """Estimator accuracy vs activity rate at the first configured SNR."""
-    snr_db = float(cfg.snr_points_db[0])
-    return _estimator_rows(cfg, cfg.dim, [(snr_db, float(p)) for p in cfg.p_points])
-
-
-def run_sweep_dim(cfg: SweepConfig) -> list:
-    """Estimator accuracy vs dimension at the first configured SNR."""
-    snr_db = float(cfg.snr_points_db[0])
+def run_sweep(cfg: SweepConfig) -> list:
+    """Estimator accuracy at every model point of every dim: vs SNR, p or dim."""
     rows = []
-    for dim in cfg.dim_points:
-        rows.extend(_estimator_rows(cfg, int(dim), [(snr_db, cfg.activity_rate)]))
+    for dim in cfg.dim_points or (cfg.dim,):
+        rows.extend(_estimator_rows(cfg, int(dim), cfg.points))
     return rows
 
 
 def run_bounds_grid(cfg: SweepConfig) -> list:
     """Exact power median, its noise-power certificate, and the empirical
     blind estimate on a (p, SNR) grid."""
-    points = [(snr_db, p) for p in cfg.p_points or (cfg.activity_rate,)
-              for snr_db in cfg.snr_points_db]
-    params = [_model_point(cfg, float(snr_db), float(p), cfg.dim) for snr_db, p in points]
+    params = [_model_point(cfg, snr_db, p, cfg.dim) for snr_db, p in cfg.points]
     mean, std = _stats(_trial_table(cfg, params, ("blind",))[:, 0, 0])
     rows = []
-    for (snr_db, p), prm, mean_hat, std_hat in zip(points, params, mean.tolist(),
+    for (snr_db, p), prm, mean_hat, std_hat in zip(cfg.points, params, mean.tolist(),
                                                     std.tolist()):
         chk = theorem1_bounds(prm)
         ok = chk.condition_p_ok
         violation = bool(ok and not
-                         (chk.lower_bound_n0 - 1e-10 <= cfg.n0
-                          <= chk.upper_bound_n0 + 1e-10))
+                         (chk.lower_bound_n0 - 1e-10 * cfg.n0 <= cfg.n0
+                          <= chk.upper_bound_n0 + 1e-10 * cfg.n0))
         extra = _extra({"condition_p_ok": ok, "violation": violation})
         for quantity, mean, stddev, truth in (
                 ("median_exact", chk.median_exact, 0.0, None),
@@ -343,9 +336,9 @@ def run_channel(cfg: SweepConfig) -> list:
 
 
 _SUBCOMMANDS = {
-    "sweep-snr": ("sweep_snr", run_sweep_snr),
-    "sweep-p": ("sweep_p", run_sweep_p),
-    "sweep-dim": ("sweep_dim", run_sweep_dim),
+    "sweep-snr": ("sweep_snr", run_sweep),
+    "sweep-p": ("sweep_p", run_sweep),
+    "sweep-dim": ("sweep_dim", run_sweep),
     "bounds": ("bounds_grid", run_bounds_grid),
     "channel-mse": ("channel_mse", run_channel),
     "channel-ber": ("channel_ber", run_channel),

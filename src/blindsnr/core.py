@@ -106,8 +106,10 @@ class BcgParams:
             raise ValueError("activity_rate must lie in (0, 1]")
         if not 0.0 < self.active_power < math.inf:
             raise ValueError("active_power must be positive and finite")
-        if not self.noise_power > 0.0:
-            raise ValueError("noise_power must be positive")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be positive and finite")
+        if not float(self.active_power) / float(self.noise_power) < math.inf:
+            raise ValueError("active_power / noise_power overflows")
 
     @property
     def signal_power(self) -> float:

@@ -156,7 +156,8 @@ def genie_rows(s, n, fy):
     :func:`genie_estimates`.
     """
     d = s.shape[-1]
-    with np.errstate(over="ignore"):
+    # inf / inf is NaN: the finiteness check below rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
         es_bar = abs_squared(s).sum(axis=-1) / d
         n0_bar = abs_squared(n).sum(axis=-1) / d
         if (n0_bar <= 0.0).any():

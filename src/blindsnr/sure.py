@@ -263,13 +263,16 @@ def _search_sorted(rs: np.ndarray, n0):
     stationary = taus[:, 1:-1]
     # n0 * S and the risk terms may overflow to inf: the clamp maps an
     # infinite stationary point to rs[k] as it would the exact value, and
-    # argmin passes over an infinite risk
-    with np.errstate(over="ignore"):
+    # argmin passes over an infinite risk. A zero magnitude, which only the
+    # prefix of a row holds, has an infinite reciprocal: its interval
+    # [0, 0] clamps the stationary point to 0, and every candidate's rank
+    # counts it, so no risk reads a suffix sum that holds it.
+    with np.errstate(over="ignore", divide="ignore"):
         np.multiply(rs, rs, out=prefix_z[:, 1:])
         np.add.accumulate(prefix_z[:, 1:], axis=1, out=prefix_z[:, 1:])
         if not prefix_z[:, -1].max() < math.inf:
             raise ValueError(INFINITE_POWER)
-        np.divide(1.0, rs, out=suffix_recip[:, :d], where=rs > 0.0)
+        np.divide(1.0, rs, out=suffix_recip[:, :d])
         reverse = suffix_recip[:, d - 1::-1]
         np.add.accumulate(reverse, axis=1, out=reverse)
         # For tau in [rs[k-1], rs[k]) exactly k entries sit below threshold;
@@ -396,11 +399,13 @@ def blind_rows(values) -> BlindRows:
     median_z = median_from_sorted(zs)
     n0 = median_z / LOG2
     sorted_r = np.sqrt(zs, out=zs)
-    tau, sure = _search_sorted(sorted_r, n0[:, None])
     # a zero noise estimate (at least half the entries zero) gets no
-    # threshold, SNR or risk; with none, nothing is masked
+    # threshold, SNR or risk; with none, nothing is masked. Its row is
+    # searched at n0 = 1, so that no 0 * inf is formed, and masked after.
     pos = n0 > 0.0
     masked = not pos.all()
+    n0_or_1 = np.where(pos, n0, 1.0) if masked else n0
+    tau, sure = _search_sorted(sorted_r, n0_or_1[:, None])
     if masked:
         tau = np.where(pos, tau, 0.0)
     shrunk, keep, ratio = _shrink(values, np.sqrt(z), tau[:, None])
@@ -408,7 +413,7 @@ def blind_rows(values) -> BlindRows:
     ey = z.sum(axis=1) / d
     resid = abs_squared(shrunk - values).sum(axis=1) / d
     with np.errstate(over="ignore"):
-        snr = ey / (np.where(pos, n0, 1.0) if masked else n0) - 1.0
+        snr = ey / n0_or_1 - 1.0
     if not snr.max() < math.inf:
         raise ValueError(INFINITE_SNR)
     mse = resid - n0 + n0 * div_sum / d

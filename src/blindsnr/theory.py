@@ -16,6 +16,11 @@ valid whenever the activity rate satisfies
 p <= (1/2 - e^-2)/(1 - e^-2) ~= 0.4217. The first upper bound on the
 median additionally requires p < 1/2 and is excluded from the min
 otherwise.
+
+The median scales with N0: it is N0 times the median of the same model
+with unit noise power and active power Eh / N0, so it keeps its relative
+precision at any N0. A median or bound outside the float range raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -51,35 +56,46 @@ class BoundCheck:
     lemma4_lb: float
 
 
+def _cdf(z, p, n0, slow):
+    return (1.0 - p) * (1.0 - np.exp(-z / n0)) + p * (1.0 - np.exp(-z / slow))
+
+
 def power_cdf(z, params: BcgParams):
     """CDF of the squared magnitude of one noisy sparse-model entry."""
     z = np.asarray(z, dtype=np.float64)
-    p = params.activity_rate
     n0 = params.noise_power
-    slow = n0 + params.active_power
-    out = (1.0 - p) * (1.0 - np.exp(-z / n0)) + p * (1.0 - np.exp(-z / slow))
+    # z / n0 may overflow; exp(-inf) = 0 is then the exact value
+    with np.errstate(over="ignore"):
+        out = _cdf(z, params.activity_rate, n0, n0 + params.active_power)
     return out if out.ndim else float(out)
 
 
 def exact_power_median(params: BcgParams) -> float:
-    """Unique root of F(m) = 1/2, found by bisection to 1e-12 absolute, or
-    to adjacent floats where one ulp of the median exceeds that.
+    """Unique root of F(m) = 1/2: N0 times the root for the same model with
+    unit noise power and active power Eh / N0, which is found by bisection
+    to 1e-12 absolute, or to adjacent floats where one ulp of it exceeds
+    that. ValueError if the median leaves the float range.
 
-    The CDF is strictly increasing, F(0) = 0, and the mixture median never
-    exceeds the slow component's median (N0 + Eh) log 2, so the bracket
-    [0, (N0 + Eh) log 2 + 1] always contains the root.
+    The unit model's CDF is strictly increasing, F(0) = 0, and its median
+    never exceeds the slow component's median (1 + Eh / N0) log 2, so the
+    bracket [0, (1 + Eh / N0) log 2 + 1] always contains the root.
     """
+    p = params.activity_rate
+    slow = 1.0 + params.active_power / params.noise_power
     lo = 0.0
-    hi = (params.noise_power + params.active_power) * LOG2 + 1.0
+    hi = slow * LOG2 + 1.0
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: 1e-12 is below one ulp here
             break
-        if power_cdf(mid, params) < 0.5:
+        if _cdf(mid, p, 1.0, slow) < 0.5:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    median = params.noise_power * (0.5 * (lo + hi))
+    if not median < math.inf:
+        raise ValueError(f"the power median of {params} overflows")
+    return median
 
 
 def n0_bounds_from_median(median: float, p: float, snr: float):
@@ -95,7 +111,11 @@ def n0_bounds_from_median(median: float, p: float, snr: float):
 
 
 def theorem1_bounds(params: BcgParams) -> BoundCheck:
-    """Exact power median plus the noise-power certificate for one model."""
+    """Exact power median plus the noise-power certificate for one model.
+
+    ValueError if the median or a bound leaves the float range; lemma2_ub
+    is NaN, as undefined, for p >= 1/2.
+    """
     p = params.activity_rate
     snr = params.snr
     n0 = params.noise_power
@@ -107,6 +127,10 @@ def theorem1_bounds(params: BcgParams) -> BoundCheck:
         lemma2_ub = math.nan
     lemma3_ub = LOG2 * (n0 + params.signal_power)
     lemma4_lb = LOG2 * n0 / ((1.0 - p) + p * p / (p + snr))
+    # lemma2_ub is NaN, not a failure, for p >= 1/2
+    if not all(map(math.isfinite, (lower, upper, lemma3_ub, lemma4_lb))) \
+            or lemma2_ub == math.inf:
+        raise ValueError(f"a noise-power bound of {params} overflows")
     return BoundCheck(params=params, median_exact=median,
                       lower_bound_n0=lower, upper_bound_n0=upper,
                       condition_p_ok=p <= ACTIVITY_RATE_LIMIT,
@@ -124,8 +148,9 @@ def verify_sandwich(grid, tol: float = 1e-10) -> SandwichReport:
     """Check lower <= N0 <= upper at every grid point using the exact median.
 
     Every supplied model must satisfy the activity-rate condition; a
-    violation beyond ``tol`` signals an implementation bug and raises
-    :class:`BoundViolationError`.
+    violation beyond ``tol`` times N0 signals an implementation bug and
+    raises :class:`BoundViolationError`. ``max_violation`` is the largest
+    violation relative to N0.
     """
     checks = []
     worst = 0.0
@@ -136,7 +161,7 @@ def verify_sandwich(grid, tol: float = 1e-10) -> SandwichReport:
                 f"activity rate {params.activity_rate} exceeds the "
                 f"certificate's validity limit {ACTIVITY_RATE_LIMIT:.4f}")
         n0 = params.noise_power
-        violation = max(chk.lower_bound_n0 - n0, n0 - chk.upper_bound_n0, 0.0)
+        violation = max(chk.lower_bound_n0 - n0, n0 - chk.upper_bound_n0, 0.0) / n0
         worst = max(worst, violation)
         checks.append(chk)
     if worst > tol:

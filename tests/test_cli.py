@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from blindsnr import RngStream, abs_squared, add, sample_bcg, sample_noise
 from blindsnr import cli, core
-from blindsnr.cli import CSV_COLUMNS, ConfigError, SweepConfig, main, run_sweep_snr
+from blindsnr.cli import CSV_COLUMNS, ConfigError, SweepConfig, main, run_sweep
 from blindsnr.em import em_fit_rows, em_init_rows
 from blindsnr.sure import search_rows
 
@@ -255,6 +255,16 @@ class TestConfigAndExitCodes:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_estimate_exits_two(self, tmp_path, capsys):
+        # the model's powers are in range, but a draw's blind SNR estimate,
+        # its receive power over its median noise estimate, overflows
+        out = tmp_path / "x.csv"
+        assert main(["sweep-snr", "--n0", "1e-300", "--p", "0.5", "--snr-db", "3079",
+                     "--dim", "3", "--estimators", "blind", "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert "an estimate at these powers overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", list(cli._SETTINGS))
     def test_config_file_and_flag_give_same_config(self, tmp_path, key):
         # the dim and p lists under the subcommands that read them
@@ -347,18 +357,38 @@ class TestOtherSweeps:
         assert code == 0
         assert {r["dim"] for r in read_rows(out)} == {"32", "128"}
 
-    @pytest.mark.parametrize("command,runner", [("sweep-snr", run_sweep_snr),
-                                                ("channel-mse", cli.run_channel)],
-                             ids=["sweep-snr", "channel-mse"])
-    def test_library_entry_point_matches_cli(self, tmp_path, command, runner):
-        # no --dim: the library and the CLI take the same default dim
+    @pytest.mark.parametrize("command,runner,fields,argv", [
+        ("sweep-snr", run_sweep, {}, []),
+        ("sweep-p", run_sweep, {"p_points": (0.05, 0.2)}, ["--p", "0.05,0.2"]),
+        ("sweep-dim", run_sweep, {"dim_points": (8, 16)}, ["--dim", "8,16"]),
+        ("bounds", cli.run_bounds_grid, {}, []),
+        ("channel-mse", cli.run_channel, {}, [])],
+        ids=["sweep-snr", "sweep-p", "sweep-dim", "bounds", "channel-mse"])
+    def test_library_entry_point_matches_cli(self, tmp_path, command, runner, fields, argv):
+        # without --dim, the library and the CLI take the same default dim
         lib, flags = tmp_path / "lib.csv", tmp_path / "cli.csv"
-        cfg = SweepConfig(experiment=command.replace("-", "_"), trials=3,
-                          snr_points_db=(0.0,), estimators=("blind",), seed=11)
+        cfg = SweepConfig(experiment=cli._SUBCOMMANDS[command][0], trials=3,
+                          snr_points_db=(0.0,), estimators=("blind",), seed=11, **fields)
         cli.write_csv(runner(cfg), str(lib))
-        assert main([command, "--trials", "3", "--snr-db", "0", "--estimators", "blind",
-                     "--seed", "11", "--out", str(flags)]) == 0
+        assert main([command, *argv, "--trials", "3", "--snr-db", "0",
+                     "--estimators", "blind", "--seed", "11", "--out", str(flags)]) == 0
         assert lib.read_bytes() == flags.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["sweep-p", "--p", "0.1,0.2"],
+                                      ["sweep-dim", "--dim", "8,16"]],
+                             ids=["sweep-p", "sweep-dim"])
+    def test_snr_points_the_run_ignores_are_not_checked(self, tmp_path, argv):
+        # sweep-p and sweep-dim run only the first SNR point, so a second
+        # one whose linear SNR overflows neither fails nor changes the rows
+        first, both = tmp_path / "first.csv", tmp_path / "both.csv"
+        argv = argv + ["--trials", "2", "--seed", "3"]
+        assert main(argv + ["--snr-db", "0", "--out", str(first)]) == 0
+        assert main(argv + ["--snr-db=0,4000", "--out", str(both)]) == 0
+        assert len(read_rows(both)) == 24
+        assert both.read_bytes() == first.read_bytes()
+        # sweep-snr runs every point, so it still rejects the list
+        assert main(["sweep-snr", "--trials", "2", "--snr-db=0,4000",
+                     "--out", str(tmp_path / "x.csv")]) == 2
 
 
 class TestStats:

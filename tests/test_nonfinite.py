@@ -78,6 +78,8 @@ POWER_CALLS = {
     "estimate_mse.identity": lambda y: estimate_mse(y, DenoiserFunction.identity(), 1.0),
     "estimate_mse.zero": lambda y: estimate_mse(y, DenoiserFunction.zero(), 1.0),
     "genie_estimates": lambda y: genie_estimates(y, UNIT, y, DenoiserFunction.identity()),
+    # signal and noise power both overflow, so their quotient is inf / inf
+    "genie_estimates.noise": lambda y: genie_estimates(y, y, y, DenoiserFunction.identity()),
 }
 # calls that use each |y_d|^2 alone
 ENTRY_CALLS = {

@@ -1,9 +1,14 @@
 """Exact power median, the noise-power certificate, and its edge behavior."""
 
+import csv
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsnr import (
     ACTIVITY_RATE_LIMIT,
@@ -64,6 +69,61 @@ class TestExactPowerMedian:
         z = np.where(active, rng.exponential(11.0, 10**6), rng.exponential(1.0, 10**6))
         m = exact_power_median(params)
         assert abs(np.median(z) - m) / m <= 0.005
+
+
+class TestNoisePowerScaling:
+    FIELDS = ("median_exact", "lower_bound_n0", "upper_bound_n0",
+              "lemma2_ub", "lemma3_ub", "lemma4_lb")
+
+    @pytest.mark.parametrize("n0", [1e-300, 1e-20, 1e-6, 1e10, 1e300])
+    def test_median_and_bounds_scale_with_n0(self, n0):
+        # the median keeps its relative precision far from N0 = 1, so the
+        # certificate of a scaled model is the scaled certificate
+        unit = theorem1_bounds(bcg_params(64, 0.1, 1.0))
+        chk = theorem1_bounds(bcg_params(64, 0.1, 1.0, n0))
+        for field in self.FIELDS:
+            assert getattr(chk, field) == pytest.approx(n0 * getattr(unit, field),
+                                                        rel=1e-15, abs=0.0), field
+
+    def test_cli_bounds_bracket_a_tiny_n0(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert cli_main(["bounds", "--n0", "1e-20", "--p", "0.1", "--snr-db", "0",
+                         "--trials", "3", "--summary", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = {r["quantity"]: r for r in csv.DictReader(fh)}
+        assert float(rows["lower_bound_n0"]["mean"]) <= 1e-20 \
+            <= float(rows["upper_bound_n0"]["mean"])
+        assert json.loads(rows["median_exact"]["extra"])["violation"] is False
+
+
+# the normal floats and every positive finite float
+NORMAL = st.floats(sys.float_info.min, sys.float_info.max)
+POSITIVE = st.floats(0.0, sys.float_info.max, exclude_min=True)
+
+
+class TestFiniteOrValueError:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(n0=NORMAL, eh=POSITIVE, p=st.floats(0.0, 1.0, exclude_min=True))
+    def test_model_and_certificate(self, n0, eh, p):
+        """A model is rejected, or its CDF, median and bounds are finite and
+        the certificate brackets N0 where it applies. Subnormal N0 is left
+        out: N0 times the unit model's median loses precision there."""
+        try:
+            params = BcgParams(dim=64, activity_rate=p, active_power=eh, noise_power=n0)
+            chk = theorem1_bounds(params)
+        except ValueError:
+            return
+        assert math.isfinite(params.snr)
+        assert np.isfinite(power_cdf([0.0, chk.median_exact, sys.float_info.max],
+                                     params)).all()
+        assert math.isfinite(exact_power_median(params))
+        bounds = (chk.median_exact, chk.lower_bound_n0, chk.upper_bound_n0,
+                  chk.lemma3_ub, chk.lemma4_lb)
+        assert all(map(math.isfinite, bounds))
+        assert math.isfinite(chk.lemma2_ub) or (p >= 0.5 and math.isnan(chk.lemma2_ub))
+        if chk.condition_p_ok:
+            assert chk.lower_bound_n0 <= n0 * (1.0 + 1e-10)
+            assert chk.upper_bound_n0 >= n0 * (1.0 - 1e-10)
 
 
 class TestTheoremBounds:
