@@ -208,18 +208,19 @@ def mse_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,
     """
     n0s = [noise_power(cfg, snr_db, "mse") for snr_db in snr_points_db]
     d = cfg.antennas
-    mse_sum = {v: [0.0] * len(n0s) for v in variants}
+    per_user = {v: [] for v in variants}
     n0_used = {v: [] for v in variants}
     for x, y, known, _ in _blocks(cfg, variants, n0s, trials, rng, data=False):
         for v, xhat, n0_var in _estimates(variants, x, y, known):
             err = xhat - x
-            per_user = (err.real * err.real + err.imag * err.imag).sum(axis=-1) / d
-            for k, point in enumerate(per_user.reshape(len(n0s), -1).tolist()):
-                for mse in point:  # the running sum adds trials, then users, in order
-                    mse_sum[v][k] += mse
+            mse = (err.real * err.real + err.imag * err.imag).sum(axis=-1) / d
+            per_user[v].append(mse.reshape(len(n0s), -1))
             n0_used[v].append(np.reshape(n0_var, (len(n0s), -1)))
+    # unlike sum's pairwise tree, cumsum adds one value at a time, trials then users
+    mse_sum = {v: np.cumsum(np.concatenate(t, axis=1), axis=1)[:, -1]
+               for v, t in per_user.items()}
     used = {v: np.concatenate(n0_used[v], axis=1) for v in variants}
-    return [{v: {"channel_mse": mse_sum[v][k] / (trials * cfg.users),
+    return [{v: {"channel_mse": float(mse_sum[v][k]) / (trials * cfg.users),
                  "n0_mean": float(used[v][k].mean()),
                  "n0_std": float(used[v][k].std(ddof=1)) if used[v].shape[1] > 1 else 0.0,
                  "n0_true": n0}

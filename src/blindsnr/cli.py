@@ -7,10 +7,10 @@ fixed, versioned column set
     family, quantity, mean, stddev, truth, extra
 
 where ``extra`` is a compact JSON object for free-form per-row fields
-(pre-clip means, degenerate-statistics warnings, certificate flags, the
-channel-noise level). SNR is configured in dB; all statistics are
-computed and stored in linear units (dB conversions, where useful, ride
-along inside ``extra``).
+(degenerate-statistics warnings, certificate flags, the channel-noise
+level and its mean estimate, bit counts). SNR is configured in dB; all
+statistics are computed and stored in linear units (dB conversions,
+where useful, ride along inside ``extra``).
 
 Per-trial randomness uses stream id = trial index, and aggregation runs
 in trial order, so a given config always produces byte-identical output.

@@ -210,8 +210,9 @@ def sample_noise(n0: float, dim: int, rng: RngStream) -> ComplexVector:
 
 # Entries per block of stacked trials: model points x trials x dim in the
 # estimator sweeps, SNR points x trials x users x antennas in the channel
-# experiments. One block holds every trial of a usual run, and the block's
-# temporaries stay a few MB however many trials are asked for.
+# experiments. The block's temporaries stay a few MB however many trials
+# are asked for: at the CLI defaults a sweep-snr block holds 585 trials
+# (18 blocks at --trials 10000) and a channel block 36.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -270,6 +271,8 @@ def add(a: ComplexVector, b: ComplexVector) -> ComplexVector:
 INFINITE_POWER = "input power is infinite: |y|^2 overflows"
 # What the blind and genie SNR estimates raise when their quotient overflows.
 INFINITE_SNR = "SNR estimate is infinite: the receive power over the noise power overflows"
+# What the risk estimates raise when n0 times the divergence sum overflows.
+INFINITE_RISK = "risk estimate is infinite: the noise power times the divergence overflows"
 
 
 def abs_squared(a) -> np.ndarray:

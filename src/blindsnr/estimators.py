@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import INFINITE_POWER, INFINITE_SNR, LOG2, ComplexVector, abs_squared
+from .core import INFINITE_POWER, INFINITE_RISK, INFINITE_SNR, LOG2, ComplexVector, abs_squared
 from .selection import median_from_sorted
 
 if TYPE_CHECKING:  # only used in signatures; the object is duck-typed here
@@ -116,7 +116,8 @@ def estimate_mse(y: ComplexVector, f: "DenoiserFunction", n0_hat: float) -> MseE
     raw = ||f(y) - y||^2 / D - n0_hat + (n0_hat / D) * sum_d div_d, where
     div_d is the entrywise divergence dRe f/dRe y + dIm f/dIm y evaluated
     at y_d. A divergence that is undefined (NaN) at any sample point is an
-    error; entries are never silently skipped.
+    error; entries are never silently skipped. A raw estimate that is not
+    finite raises ValueError(INFINITE_RISK).
     """
     if not 0.0 <= n0_hat < math.inf:
         raise ValueError("n0_hat must be non-negative and finite")
@@ -130,6 +131,8 @@ def estimate_mse(y: ComplexVector, f: "DenoiserFunction", n0_hat: float) -> MseE
         raise ValueError("divergence undefined at a sample point")
     div_sum = float(div.sum())
     raw = resid_power - n0_hat + n0_hat * div_sum / d
+    if not math.isfinite(raw):
+        raise ValueError(INFINITE_RISK)
     return MseEstimate(value=max(raw, 0.0), raw_sure=raw, divergence_sum=div_sum)
 
 

@@ -6,12 +6,14 @@ reduces to the middle element for odd D. It can be computed either by a
 full sort (worst-case D log D) or by randomized quickselect in expected
 linear time; both paths return the exact same floating-point value.
 
-Quickselect here partitions with vectorized three-way splits and counts
-2 comparisons per element per partition pass (the ``< pivot`` and
-``> pivot`` sweeps), so the comparison tally in the returned
-:class:`~blindsnr.core.OpCounter` reflects the work actually performed.
-The full-sort path delegates to numpy's sort, whose internal comparisons
-are not observable; its counter reports zero comparisons.
+Quickselect here finds one rank and the value just above it, so one call
+gives both central order statistics. It partitions with vectorized
+three-way splits and counts 2 comparisons per element per partition pass
+(the ``< pivot`` and ``> pivot`` sweeps), plus those of a final minimum,
+so the comparison tally in the returned :class:`~blindsnr.core.OpCounter`
+reflects the work actually performed. The full-sort path delegates to
+numpy's sort, whose internal comparisons are not observable; its counter
+reports zero comparisons.
 """
 
 from __future__ import annotations
@@ -39,48 +41,32 @@ class MedianResult:
     ops: OpCounter
 
 
-def _select_ranks(arr: np.ndarray, ranks, gen: np.random.Generator,
-                  counter: OpCounter) -> dict:
-    """Return {rank: value} for the given 1-based ranks of ``arr``.
-
-    ``arr`` is consumed as scratch (callers pass a private copy). Uses
-    random pivots; expected work is linear in len(arr) per rank group.
-    """
-    out = {}
-    # Each work item: (subarray, [(local_rank, requested_rank), ...])
-    stack = [(arr, [(r, r) for r in ranks])]
-    while stack:
-        a, targets = stack.pop()
-        while targets:
-            n = a.size
-            if n == 1:
-                for _, req in targets:
-                    out[req] = float(a[0])
-                break
-            pivot = float(a[int(gen.integers(0, n))])
-            lt = a < pivot
-            gt = a > pivot
-            counter.comparisons += 2 * n
-            nl = int(np.count_nonzero(lt))
-            ne = n - nl - int(np.count_nonzero(gt))
-            left, right = [], []
-            for loc, req in targets:
-                if loc <= nl:
-                    left.append((loc, req))
-                elif loc <= nl + ne:
-                    out[req] = pivot
-                else:
-                    right.append((loc - nl - ne, req))
-            if left and right:
-                stack.append((a[gt], right))
-                a, targets = a[lt], left
-            elif left:
-                a, targets = a[lt], left
-            elif right:
-                a, targets = a[gt], right
-            else:
-                break
-    return out
+def _select(a: np.ndarray, k: int, gen: np.random.Generator,
+            counter: OpCounter) -> tuple:
+    """The k-th smallest value of ``a`` (1-based) and the next one up (inf
+    if none) by randomized quickselect, in expected linear work. ``upper``,
+    the last pivot the loop went left of, is the least value known to lie
+    above the part still searched."""
+    upper = math.inf
+    while a.size > 1:
+        pivot = float(a[int(gen.integers(0, a.size))])
+        lt, gt = a < pivot, a > pivot
+        counter.comparisons += 2 * a.size
+        nl = int(np.count_nonzero(lt))
+        top = a.size - int(np.count_nonzero(gt))  # rank of the last pivot copy
+        if k <= nl:
+            a, upper = a[lt], pivot
+        elif k < top:
+            return pivot, pivot
+        elif k > top:
+            a, k = a[gt], k - top
+        else:
+            above = a[gt]
+            if above.size:
+                counter.comparisons += above.size - 1
+                upper = float(above.min())
+            return pivot, upper
+    return float(a[0]), upper
 
 
 def _validated(x) -> np.ndarray:
@@ -98,18 +84,15 @@ def kth_smallest(x, k: int, rng: RngStream | None = None,
                  counter: OpCounter | None = None) -> float:
     """The k-th smallest element (1-based) via randomized quickselect.
 
-    The input is not modified; selection runs on a private copy.
+    The input is not modified: each pass selects into a new array.
     """
     x = _validated(x)
     if not 1 <= k <= x.size:
         raise ValueError(f"k={k} out of range for length {x.size}")
-    if rng is None:
-        rng = RngStream(_DEFAULT_PIVOT_SEED)
-    if counter is None:
-        counter = OpCounter()
-    else:
-        counter.reset()
-    return _select_ranks(x.copy(), [int(k)], rng.gen, counter)[int(k)]
+    rng = RngStream(_DEFAULT_PIVOT_SEED) if rng is None else rng
+    counter = OpCounter() if counter is None else counter
+    counter.reset()
+    return _select(x, int(k), rng.gen, counter)[0]
 
 
 def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
@@ -118,7 +101,9 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
 
     For odd D both central positions coincide, so the result is the middle
     order statistic exactly; for even D it is the average of the D/2-th and
-    (D/2+1)-th smallest values. NaN or infinite entries are rejected.
+    (D/2+1)-th smallest values, which one quickselect call returns. Both
+    methods average through :func:`median_from_sorted`, so NaN or infinite
+    entries, and a central sum past the float range, raise ValueError.
 
     Args:
         x: one-dimensional real array, length >= 1.
@@ -130,24 +115,19 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
     x = _validated(x)
     if method not in MEDIAN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {MEDIAN_METHODS}")
-    if counter is None:
-        counter = OpCounter()
-    else:
-        counter.reset()
+    counter = OpCounter() if counter is None else counter
+    counter.reset()
     d = x.size
-    lo = (d + 1) // 2
-    hi = d // 2 + 1
     if method == "full_sort":
-        s = np.sort(x)
-        value = 0.5 * (float(s[lo - 1]) + float(s[hi - 1]))
+        central = np.sort(x)
     else:
-        if rng is None:
-            rng = RngStream(_DEFAULT_PIVOT_SEED)
-        picked = _select_ranks(x.copy(), sorted({lo, hi}), rng.gen, counter)
-        value = 0.5 * (picked[lo] + picked[hi])
+        rng = RngStream(_DEFAULT_PIVOT_SEED) if rng is None else rng
+        low, high = _select(x, (d + 1) // 2, rng.gen, counter)
+        central = np.array([low, high] if d % 2 == 0 else [low])
         counter.real_adds += 1
         counter.real_mults += 1
-    return MedianResult(value=value, method=method, ops=counter.snapshot())
+    return MedianResult(value=float(median_from_sorted(central)), method=method,
+                        ops=counter.snapshot())
 
 
 def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
@@ -156,24 +136,23 @@ def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
     sort to the ends of a row, are rejected as in :func:`sample_median`;
     +inf entries (an overflowed |y|^2), and a median whose two central
     values sum past the float range, raise ValueError(INFINITE_POWER). So
-    a median is at most half the float maximum, and the noise estimate
-    median / log 2 is finite."""
+    a median of |y|^2 is at most half the float maximum, and the noise
+    estimate median / log 2 is finite."""
     d = sorted_x.shape[-1]
     if d == 0:
         raise ValueError("cannot take the median of an empty array")
-    lo = (d + 1) // 2
-    hi = d // 2 + 1
-    low, high = sorted_x[..., lo - 1], sorted_x[..., hi - 1]
-    # below half the float range the central sum cannot overflow
-    finite_first = np.isfinite(sorted_x[..., 0]).all()
-    if finite_first and sorted_x[..., -1].max() <= _HALF_MAX:
+    first, last = sorted_x[..., 0], sorted_x[..., -1]
+    low, high = sorted_x[..., (d - 1) // 2], sorted_x[..., d // 2]
+    # within half the float range the central sum cannot overflow; NaN
+    # fails both comparisons
+    if (first >= -_HALF_MAX).all() and last.max() <= _HALF_MAX:
         return 0.5 * (low + high)
-    if not (finite_first and np.isfinite(sorted_x[..., -1]).all()):
-        if np.isnan(sorted_x[..., -1]).any() or np.isneginf(sorted_x[..., 0]).any():
+    if not (np.isfinite(first).all() and np.isfinite(last).all()):
+        if np.isnan(last).any() or np.isneginf(first).any():
             raise ValueError("input contains NaN or infinite entries")
         raise ValueError(INFINITE_POWER)
     with np.errstate(over="ignore"):
         median = 0.5 * (low + high)
-    if not median.max() < math.inf:
+    if not np.isfinite(median).all():
         raise ValueError(INFINITE_POWER)
     return median

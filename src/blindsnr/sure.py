@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INFINITE_POWER, INFINITE_SNR, LOG2, ComplexVector, abs_squared
+from .core import INFINITE_POWER, INFINITE_RISK, INFINITE_SNR, LOG2, ComplexVector, abs_squared
 from .estimators import (
     MseEstimate,
     NoisePowerEstimate,
@@ -199,7 +199,8 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     """Risk estimate of the soft threshold at tau, in closed form.
 
     Agrees with :func:`blindsnr.estimators.estimate_mse` applied to the
-    corresponding soft-threshold denoiser up to rounding.
+    corresponding soft-threshold denoiser up to rounding, and like it
+    raises ValueError(INFINITE_RISK) when the estimate overflows.
     """
     if not 0.0 <= tau < math.inf:
         raise ValueError("tau must be non-negative and finite")
@@ -216,7 +217,10 @@ def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
     above = r > tau
     term1 = float(np.minimum(z, tau * tau).sum()) / d
     div = float((2.0 - tau / r[above]).sum())
-    return term1 - n0 + n0 * div / d
+    risk = term1 - n0 + n0 * div / d
+    if not math.isfinite(risk):
+        raise ValueError(INFINITE_RISK)
+    return risk
 
 
 def _ranks(rs: np.ndarray, taus: np.ndarray) -> np.ndarray:

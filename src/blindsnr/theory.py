@@ -5,7 +5,8 @@ two-component exponential mixture; its CDF is
 
     F(z) = (1 - p)(1 - exp(-z / N0)) + p (1 - exp(-z / (N0 + Eh))).
 
-This module evaluates that CDF, finds its exact median by bisection, and
+This module evaluates that CDF as the unit-noise model's CDF at z / N0,
+with active power 1 + Eh / N0, finds its exact median by bisection, and
 forms the two-sided certificate that brackets the true noise power
 around (median / log 2):
 
@@ -56,17 +57,18 @@ class BoundCheck:
     lemma4_lb: float
 
 
-def _cdf(z, p, n0, slow):
-    return (1.0 - p) * (1.0 - np.exp(-z / n0)) + p * (1.0 - np.exp(-z / slow))
+def _cdf(z, p, slow):
+    """CDF of the unit-noise model, whose active entries have power ``slow``."""
+    return (1.0 - p) * (1.0 - np.exp(-z)) + p * (1.0 - np.exp(-z / slow))
 
 
 def power_cdf(z, params: BcgParams):
-    """CDF of the squared magnitude of one noisy sparse-model entry."""
+    """CDF of one noisy sparse-model entry's power: the unit-noise CDF at z / N0."""
     z = np.asarray(z, dtype=np.float64)
     n0 = params.noise_power
     # z / n0 may overflow; exp(-inf) = 0 is then the exact value
     with np.errstate(over="ignore"):
-        out = _cdf(z, params.activity_rate, n0, n0 + params.active_power)
+        out = _cdf(z / n0, params.activity_rate, 1.0 + params.active_power / n0)
     return out if out.ndim else float(out)
 
 
@@ -88,7 +90,7 @@ def exact_power_median(params: BcgParams) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: 1e-12 is below one ulp here
             break
-        if _cdf(mid, p, 1.0, slow) < 0.5:
+        if _cdf(mid, p, slow) < 0.5:
             lo = mid
         else:
             hi = mid

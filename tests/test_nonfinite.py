@@ -22,7 +22,7 @@ from blindsnr import (
     soft_threshold,
     sure_of_threshold,
 )
-from blindsnr.core import INFINITE_POWER
+from blindsnr.core import INFINITE_POWER, INFINITE_RISK
 from blindsnr.em import em_fit_rows, em_init_rows
 from blindsnr.selection import median_from_sorted
 from blindsnr.sure import blind_rows, search_rows, soft_threshold_rows
@@ -150,6 +150,20 @@ SNR_CALLS = {
 def test_overflowing_snr_raises(name):
     with pytest.raises(ValueError, match="SNR estimate is infinite"):
         SNR_CALLS[name]()
+
+
+# finite inputs whose risk estimate overflows: n0 times the divergence sum
+NORMAL_64 = ComplexVector(np.random.default_rng(0).standard_normal(64), np.zeros(64))
+RISK_CALLS = {
+    "sure_of_threshold": lambda: sure_of_threshold(NORMAL_64, 0.0, 1e308),
+    "estimate_mse": lambda: estimate_mse(NORMAL_64, DenoiserFunction.identity(), 1e308),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RISK_CALLS))
+def test_overflowing_risk_raises(name):
+    with pytest.raises(ValueError, match=re.escape(INFINITE_RISK)):
+        RISK_CALLS[name]()
 
 
 # |y|^2 sums to just below the float maximum, so candidate risks such as

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsnr import LOG2, OpCounter, RngStream, kth_smallest, sample_median
 
@@ -21,6 +23,14 @@ class TestSampleMedianValues:
         before = x.copy()
         sample_median(x, method="quickselect", rng=RngStream(1))
         np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("method", ["quickselect", "full_sort"])
+    def test_overflowing_average_raises(self, method):
+        with pytest.raises(ValueError, match="infinite"):
+            sample_median(np.array([1.7e308, 1.7e308]), method)
+        with pytest.raises(ValueError, match="infinite"):
+            sample_median(np.array([-1.7e308, -1.7e308]), method)
+        assert sample_median(np.array([8e307, 8e307]), method).value == 8e307
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -71,6 +81,30 @@ class TestEquivalence:
             q = sample_median(x, "quickselect", rng=RngStream(4, t)).value
             f = sample_median(x, "full_sort").value
             assert q == f
+
+
+# tied integers (whose central pairs often straddle a pivot's equal block),
+# two equal halves (where they always do) and continuous values; D = 1-300
+_SELECTION_INPUTS = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=300),
+    st.tuples(st.integers(1, 150), st.integers(0, 2**32 - 1)).map(
+        lambda hs: np.random.default_rng(hs[1]).permutation(np.repeat([-1.0, 2.0], hs[0]))),
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=300),
+)
+
+
+class TestAgainstSort:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(x=_SELECTION_INPUTS, seed=st.integers(0, 2**32 - 1))
+    def test_every_rank_and_both_medians_equal_the_sort(self, x, seed):
+        x = np.asarray(x, dtype=np.float64)
+        s = np.sort(x)
+        d = x.size
+        for k in range(1, d + 1):
+            assert kth_smallest(x, k, rng=RngStream(seed, k)) == s[k - 1]
+        expected = 0.5 * (s[(d - 1) // 2] + s[d // 2])
+        assert sample_median(x, "quickselect", rng=RngStream(seed)).value == expected
+        assert sample_median(x, "full_sort").value == expected
 
 
 class TestConvergence:

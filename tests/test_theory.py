@@ -85,6 +85,12 @@ class TestNoisePowerScaling:
             assert getattr(chk, field) == pytest.approx(n0 * getattr(unit, field),
                                                         rel=1e-15, abs=0.0), field
 
+    def test_cdf_near_the_float_maximum(self):
+        # N0 + Eh overflows here; the unit-noise model at z / N0 does not
+        params = BcgParams(64, 0.01, 1e308, 1e308)
+        closed = 0.99 * (1.0 - math.exp(-1.0)) + 0.01 * (1.0 - math.exp(-0.5))
+        assert abs(power_cdf(1e308, params) - closed) <= 1e-12
+
     def test_cli_bounds_bracket_a_tiny_n0(self, tmp_path):
         out = tmp_path / "b.csv"
         assert cli_main(["bounds", "--n0", "1e-20", "--p", "0.1", "--snr-db", "0",
