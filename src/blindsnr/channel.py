@@ -6,7 +6,8 @@ power. After the unitary DFT across antennas (the beamspace), a channel
 with few paths is approximately sparse, which is exactly the structure
 the blind estimators and the adaptive soft-threshold denoiser rely on.
 
-Two experiments evaluate a tuple of denoising variants:
+Two experiments evaluate a tuple of denoising variants, each filling one
+(points, variants, quantities, trials) table of per-trial results:
 
 * channel MSE of the denoised beamspace vector, with the observation
   noise set by ``n0 = 1 / snr`` (unit average beamspace entry power);
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, trial_blocks
+from .core import RngStream, abs_squared, trial_blocks
 from .em import _fit_rows, _init_rows
-from .sure import _search_sorted, blind_rows, soft_threshold_rows
+from .sure import _search_sorted, _shrink, blind_rows
 
 VARIANTS = ("perfect_csi", "ml", "beaches_known_n0", "beaches_blind", "beaches_em")
 
@@ -137,7 +138,8 @@ def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: np.ndarray):
             if variant == "beaches_em":
                 n0_var = _fit_rows(b.z, _init_rows(b.z, b.n0)).var_small
             tau, _ = _search_sorted(b.sorted_r, np.asarray(n0_var)[..., None])
-            est = soft_threshold_rows(rows, tau)
+            # |y| from the blind kernel's |y|^2, which it checked for overflow
+            est = _shrink(rows, np.sqrt(b.z), tau[:, None])[0]
         yield variant, est.reshape(y.shape), n0_var
 
 
@@ -158,14 +160,14 @@ def _blocks(cfg: ChannelConfig, variants: tuple, n0s: list, trials: int,
     """Yield each block of trials, drawn once and shared by every SNR point
     and every variant evaluated on it.
 
-    A block is (beamspace, observations, n0 per row, link): the
-    (trials, users, antennas) beamspace channels; their (points, trials,
-    users, antennas) observations, point k with noise power ``n0s[k]``;
-    that noise power for each observation row, in row order; and, with
-    ``data``, the link (channels, each trial's (users, 4) bits, its
-    antennas' unit-power complex data noise), else None. Trial t draws
-    from ``rng.substream(t)`` in the order channels, observation noise,
-    bits, data noise, whatever the block sizes.
+    A block is (trials, beamspace, observations, n0 per row, link): the
+    range of trials it holds; their (trials, users, antennas) beamspace
+    channels; their (points, trials, users, antennas) observations, point
+    k with noise power ``n0s[k]``; that noise power for each observation
+    row, in row order; and, with ``data``, the link (channels, each trial's
+    (users, 4) bits, its antennas' unit-power complex data noise), else
+    None. Trial t draws from ``rng.substream(t)`` in the order channels,
+    observation noise, bits, data noise, whatever the block sizes.
     """
     if not variants or not set(variants) <= set(VARIANTS):
         raise ValueError(f"variants must be a non-empty tuple drawn from {VARIANTS}, "
@@ -194,44 +196,7 @@ def _blocks(cfg: ChannelConfig, variants: tuple, n0s: list, trials: int,
         noise = w[:, :, 0] + 1j * w[:, :, 1]
         y = np.stack([x + math.sqrt(n0 / 2.0) * noise for n0 in n0s])
         link = (h, bits, w_data[:, 0] + 1j * w_data[:, 1]) if data else None
-        yield x, y, np.repeat(n0s, len(block) * u), link
-
-
-def mse_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,
-                  trials: int, rng: RngStream) -> list:
-    """Average beamspace channel MSE of each variant at each SNR point.
-
-    The observation is y = x + n in beamspace with n0 = 1 / snr (the
-    beamspace vector has unit average entry power by construction). Every
-    point observes the same trials. Returns one dict per point, keyed by
-    variant in the order given.
-    """
-    n0s = [noise_power(cfg, snr_db, "mse") for snr_db in snr_points_db]
-    d = cfg.antennas
-    per_user = {v: [] for v in variants}
-    n0_used = {v: [] for v in variants}
-    for x, y, known, _ in _blocks(cfg, variants, n0s, trials, rng, data=False):
-        for v, xhat, n0_var in _estimates(variants, x, y, known):
-            err = xhat - x
-            mse = (err.real * err.real + err.imag * err.imag).sum(axis=-1) / d
-            per_user[v].append(mse.reshape(len(n0s), -1))
-            n0_used[v].append(np.reshape(n0_var, (len(n0s), -1)))
-    # unlike sum's pairwise tree, cumsum adds one value at a time, trials then users
-    mse_sum = {v: np.cumsum(np.concatenate(t, axis=1), axis=1)[:, -1]
-               for v, t in per_user.items()}
-    used = {v: np.concatenate(n0_used[v], axis=1) for v in variants}
-    return [{v: {"channel_mse": float(mse_sum[v][k]) / (trials * cfg.users),
-                 "n0_mean": float(used[v][k].mean()),
-                 "n0_std": float(used[v][k].std(ddof=1)) if used[v].shape[1] > 1 else 0.0,
-                 "n0_true": n0}
-             for v in variants} for k, n0 in enumerate(n0s)]
-
-
-def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
-                   trials: int, rng: RngStream) -> dict:
-    """Average beamspace channel MSE of each variant at one SNR point; a
-    one-point call into :func:`mse_by_points`."""
-    return mse_by_points(cfg, variants, (snr_db,), trials, rng)[0]
+        yield block, x, y, np.repeat(n0s, len(block) * u), link
 
 
 def qam16_modulate(bits: np.ndarray) -> np.ndarray:
@@ -255,37 +220,71 @@ def qam16_demodulate(symbols: np.ndarray) -> np.ndarray:
     return np.concatenate((_BITS_BY_LEVEL[i_idx], _BITS_BY_LEVEL[q_idx]), axis=1)
 
 
+def trial_table(cfg: ChannelConfig, variants: tuple, snr_points_db, trials: int,
+                rng: RngStream, metric: str) -> np.ndarray:
+    """Per-trial results of each variant at each SNR point, as a (points,
+    variants, quantities, trials) array; every point observes the same
+    trials, at noise power ``noise_power(cfg, snr_db, metric)``.
+
+    ``"mse"``: the beamspace observation is y = x + n, and the quantities
+    are the trial's channel MSE and the noise power its variant used, both
+    averaged over the trial's users. ``"ber"``: every point sends the same
+    4 bits per user and trial, detected by LMMSE from the variant's
+    channel estimate; the one quantity is the trial's bit-error count.
+    """
+    n0s = [noise_power(cfg, snr_db, metric) for snr_db in snr_points_db]
+    table = np.empty((len(n0s), len(variants), 2 if metric == "mse" else 1, trials))
+    for block, x, y, known, link in _blocks(cfg, variants, n0s, trials, rng,
+                                            data=metric == "ber"):
+        if link:
+            h, bits, noise = link
+            sym = qam16_modulate(bits.reshape(-1, 4)).reshape(bits.shape[:2])
+            # BLAS rounds transposed views differently, so multiply C-contiguous copies
+            hs = (np.ascontiguousarray(h.swapaxes(1, 2)) @ sym[..., None])[..., 0]
+            r = np.stack([hs + math.sqrt(n0 / 2.0) * noise for n0 in n0s])
+            ridge = np.stack([(cfg.users * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR)
+                              * np.eye(cfg.users) for n0 in n0s])[:, None]
+        for k, (_, x_hat, n0_var) in enumerate(_estimates(variants, x, y, known)):
+            if link:
+                h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).swapaxes(-1, -2))
+                h_adj = h_hat.conj().swapaxes(-1, -2)
+                sym_hat = np.linalg.solve(h_adj @ h_hat + ridge, h_adj @ r[..., None])
+                bits_hat = qam16_demodulate(sym_hat.reshape(-1)).reshape(-1, *bits.shape)
+                table[:, k, 0, block] = (bits_hat != bits).sum(axis=(2, 3))
+            else:
+                table[:, k, 0, block] = abs_squared(x_hat - x).mean(axis=(-2, -1))
+                table[:, k, 1, block] = np.reshape(n0_var, y.shape[:-1]).mean(axis=-1)
+    return table
+
+
+def mse_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,
+                  trials: int, rng: RngStream) -> list:
+    """Average beamspace channel MSE of each variant at each SNR point, with
+    n0 = 1 / snr: the trial means of :func:`trial_table`. Returns one dict
+    per point, keyed by variant in the order given."""
+    means = trial_table(cfg, variants, snr_points_db, trials, rng, "mse").mean(axis=-1)
+    return [{v: {"channel_mse": mse, "n0_mean": n0_mean,
+                 "n0_true": noise_power(cfg, snr_db, "mse")}
+             for v, (mse, n0_mean) in zip(variants, point)}
+            for snr_db, point in zip(snr_points_db, means.tolist())]
+
+
+def mse_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,
+                   trials: int, rng: RngStream) -> dict:
+    """Average beamspace channel MSE of each variant at one SNR point; a
+    one-point call into :func:`mse_by_points`."""
+    return mse_by_points(cfg, variants, (snr_db,), trials, rng)[0]
+
+
 def ber_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,
                   trials: int, rng: RngStream) -> list:
-    """Uncoded 16-QAM bit error rate with LMMSE detection for each variant
-    at each SNR point.
-
-    A single knob sets n0 = users / snr: the per-antenna data noise then
-    matches the configured receive SNR, and the per-user beamspace channel
-    observations use the same n0. Every point sends the same bits over the
-    same trials. Returns one dict per point, keyed by variant in the order
-    given.
-    """
-    n0s = [noise_power(cfg, snr_db, "ber") for snr_db in snr_points_db]
-    u = cfg.users
-    ridge = np.stack([(u * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR) * np.eye(u)
-                      for n0 in n0s])[:, None]
-    errors = {v: np.zeros(len(n0s), dtype=np.int64) for v in variants}
-    for x, y, known, (h, bits, noise) in _blocks(cfg, variants, n0s, trials, rng,
-                                                 data=True):
-        sym = qam16_modulate(bits.reshape(-1, 4)).reshape(bits.shape[:2])
-        # C-contiguous (antennas, users) copies: BLAS rounds transposed views differently
-        hs = (np.ascontiguousarray(h.swapaxes(1, 2)) @ sym[..., None])[..., 0]
-        r = np.stack([hs + math.sqrt(n0 / 2.0) * noise for n0 in n0s])
-        for v, x_hat, _ in _estimates(variants, x, y, known):
-            h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).swapaxes(-1, -2))
-            h_adj = h_hat.conj().swapaxes(-1, -2)
-            sym_hat = np.linalg.solve(h_adj @ h_hat + ridge, h_adj @ r[..., None])
-            bits_hat = qam16_demodulate(sym_hat.reshape(-1)).reshape(y.shape[:3] + (4,))
-            errors[v] += (bits_hat != bits).sum(axis=(1, 2, 3))
-    total = 4 * u * trials
-    return [{v: {"ber": int(errors[v][k]) / total, "bit_errors": int(errors[v][k]),
-                 "bits": total} for v in variants} for k in range(len(n0s))]
+    """Uncoded 16-QAM bit error rate of each variant at each SNR point, with
+    n0 = users / snr: the error total of :func:`trial_table` over all bits
+    sent. Returns one dict per point, keyed by variant in the order given."""
+    errors = trial_table(cfg, variants, snr_points_db, trials, rng, "ber").sum(axis=-1)
+    total = 4 * cfg.users * trials
+    return [{v: {"ber": e / total, "bit_errors": int(e), "bits": total}
+             for v, (e,) in zip(variants, point)} for point in errors.tolist()]
 
 
 def ber_by_variant(cfg: ChannelConfig, variants: tuple, snr_db: float,

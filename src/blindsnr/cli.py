@@ -10,7 +10,10 @@ where ``extra`` is a compact JSON object for free-form per-row fields
 (degenerate-statistics warnings, certificate flags, the channel-noise
 level and its mean estimate, bit counts). SNR is configured in dB; all
 statistics are computed and stored in linear units (dB conversions,
-where useful, ride along inside ``extra``).
+where useful, ride along inside ``extra``). A Monte-Carlo row's ``mean``
+and ``stddev`` (ddof 1) reduce one (points, families or variants,
+quantities, trials) table of per-trial values; the BER mean is the error
+total over all bits sent.
 
 Per-trial randomness uses stream id = trial index, and aggregation runs
 in trial order, so a given config always produces byte-identical output.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import VARIANTS, ChannelConfig, ber_by_points, mse_by_points, noise_power
+from .channel import VARIANTS, ChannelConfig, noise_power, trial_table
 from .core import BcgParams, RngStream, bcg_rows, draw_trials, trial_blocks
 from .em import _fit_rows, _init_rows
 from .estimators import genie_rows
@@ -59,7 +62,7 @@ from .sure import BlindRows, _search_sorted, blind_rows
 from .theory import theorem1_bounds
 
 ESTIMATOR_FAMILIES = ("blind", "em", "genie")
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 CSV_COLUMNS = ("experiment_version", "experiment", "snr_db", "p", "dim",
                "trials", "family", "quantity", "mean", "stddev", "truth",
                "extra")
@@ -308,30 +311,28 @@ def run_bounds_grid(cfg: SweepConfig) -> list:
 
 
 def run_channel(cfg: SweepConfig) -> list:
-    """Channel MSE or uncoded BER for every denoising variant per SNR point."""
-    chan = cfg.channel
-    base = RngStream(cfg.seed, stream_id=0)
-    by_points = mse_by_points if cfg.experiment == "channel_mse" else ber_by_points
-    points = by_points(chan, VARIANTS, [float(snr_db) for snr_db in cfg.snr_points_db],
-                       cfg.trials, base)
+    """Channel MSE or uncoded BER of every denoising variant at each SNR
+    point: the mean over trials and the spread of the per-trial values."""
+    chan, metric = cfg.channel, cfg.experiment[len("channel_"):]
+    table = trial_table(chan, VARIANTS, cfg.snr_points_db, cfg.trials,
+                        RngStream(cfg.seed, stream_id=0), metric)
+    mean, std = _stats(table)
+    sent = 4 * chan.users  # bits per trial
+    degenerate = {"degenerate_stddev": True} if cfg.trials == 1 else {}
     rows = []
-    for snr_db, results in zip(cfg.snr_points_db, points):
-        if cfg.experiment == "channel_mse":
-            for variant, res in results.items():
-                mse = res["channel_mse"]
-                extra = _extra({
-                    "mse_db": 10.0 * math.log10(mse) if mse > 0 else None,
-                    "n0": res["n0_true"],
-                    "n0_est_mean": res["n0_mean"],
-                })
-                rows.append(_row(cfg, snr_db, None, chan.antennas, variant,
-                                 "channel_mse", mse, 0.0,
-                                 0.0 if variant == "perfect_csi" else None, extra))
-        else:
-            for variant, res in results.items():
-                extra = _extra({"bits": res["bits"], "bit_errors": res["bit_errors"]})
-                rows.append(_row(cfg, snr_db, None, chan.antennas, variant, "ber",
-                                 res["ber"], 0.0, None, extra))
+    for snr_db, means, stds, sums in zip(cfg.snr_points_db, mean.tolist(), std.tolist(),
+                                         table.sum(axis=-1).tolist()):
+        for variant, m, sd, errors in zip(VARIANTS, means, stds, sums):
+            if metric == "mse":
+                extra = {"mse_db": 10.0 * math.log10(m[0]) if m[0] > 0 else None,
+                         "n0": noise_power(chan, snr_db, metric), "n0_est_mean": m[1]}
+                truth = 0.0 if variant == "perfect_csi" else None
+                row = ("channel_mse", m[0], sd[0], truth)
+            else:  # the BER of the exact error total; a trial's BER is its count / sent
+                extra = {"bits": sent * cfg.trials, "bit_errors": int(errors[0])}
+                row = ("ber", errors[0] / (sent * cfg.trials), sd[0] / sent, None)
+            rows.append(_row(cfg, snr_db, None, chan.antennas, variant, *row,
+                             _extra({**extra, **degenerate})))
     return rows
 
 
@@ -355,10 +356,8 @@ def write_csv(rows: list, path: str) -> None:
 def _summary_assertions(cfg: SweepConfig, rows: list) -> list:
     checks = []
 
-    def by(family=None, quantity=None):
-        return [r for r in rows
-                if (family is None or r.family == family)
-                and (quantity is None or r.quantity == quantity)]
+    def by(variant):  # a channel variant's means, by SNR point
+        return {r.snr_db: r.mean for r in rows if r.family == variant}
 
     if cfg.experiment in ("sweep_snr", "sweep_p", "sweep_dim"):
         stds = [r.stddev for r in rows]
@@ -369,17 +368,14 @@ def _summary_assertions(cfg: SweepConfig, rows: list) -> list:
         bad = [r for r in rows if "\"violation\":true" in r.extra]
         checks.append(("sandwich_holds", not bad))
     elif cfg.experiment == "channel_mse":
-        perfect = by("perfect_csi", "channel_mse")
-        checks.append(("perfect_csi_zero", all(r.mean == 0.0 for r in perfect)))
-        ml = {r.snr_db: r.mean for r in by("ml", "channel_mse")}
-        known = {r.snr_db: r.mean for r in by("beaches_known_n0", "channel_mse")}
+        perfect = by("perfect_csi")
+        checks.append(("perfect_csi_zero", all(m == 0.0 for m in perfect.values())))
+        ml, known = by("ml"), by("beaches_known_n0")
         checks.append(("denoiser_not_worse_than_ml",
                        all(known[s] <= ml[s] * 1.05 for s in known)))
     elif cfg.experiment == "channel_ber":
-        bers = [r.mean for r in rows]
-        checks.append(("ber_in_unit_interval", all(0.0 <= b <= 1.0 for b in bers)))
-        ml = {r.snr_db: r.mean for r in by("ml", "ber")}
-        perfect = {r.snr_db: r.mean for r in by("perfect_csi", "ber")}
+        checks.append(("ber_in_unit_interval", all(0.0 <= r.mean <= 1.0 for r in rows)))
+        ml, perfect = by("ml"), by("perfect_csi")
         bits = json.loads(rows[0].extra)["bits"]
         slack = 3.0 * max((math.sqrt(b * (1 - b) / bits) for b in ml.values()),
                           default=0.0) + 5.0 / bits

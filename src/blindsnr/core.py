@@ -269,6 +269,8 @@ def add(a: ComplexVector, b: ComplexVector) -> ComplexVector:
 
 # What every estimator and denoiser raises for an input whose |y|^2 overflows.
 INFINITE_POWER = "input power is infinite: |y|^2 overflows"
+# What a sample median of any real array raises when its central sum overflows.
+INFINITE_MEDIAN = "median is infinite: the two central values sum past the float range"
 # What the blind and genie SNR estimates raise when their quotient overflows.
 INFINITE_SNR = "SNR estimate is infinite: the receive power over the noise power overflows"
 # What the risk estimates raise when n0 times the divergence sum overflows.

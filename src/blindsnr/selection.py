@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITE_POWER, OpCounter, RngStream
+from .core import INFINITE_MEDIAN, INFINITE_POWER, OpCounter, RngStream
 
 MEDIAN_METHODS = ("quickselect", "full_sort")
 
@@ -103,7 +103,8 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
     order statistic exactly; for even D it is the average of the D/2-th and
     (D/2+1)-th smallest values, which one quickselect call returns. Both
     methods average through :func:`median_from_sorted`, so NaN or infinite
-    entries, and a central sum past the float range, raise ValueError.
+    entries, and a central sum past the float range, raise ValueError
+    (INFINITE_MEDIAN for the sum).
 
     Args:
         x: one-dimensional real array, length >= 1.
@@ -126,18 +127,18 @@ def sample_median(x, method: str = "quickselect", rng: RngStream | None = None,
         central = np.array([low, high] if d % 2 == 0 else [low])
         counter.real_adds += 1
         counter.real_mults += 1
-    return MedianResult(value=float(median_from_sorted(central)), method=method,
-                        ops=counter.snapshot())
+    return MedianResult(value=float(median_from_sorted(central, INFINITE_MEDIAN)),
+                        method=method, ops=counter.snapshot())
 
 
-def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
+def median_from_sorted(sorted_x: np.ndarray, overflow: str = INFINITE_POWER) -> np.ndarray:
     """Sample median of each row of an array sorted ascending along its last
     axis (no re-sort): one median per row. NaN or -inf entries, which
     sort to the ends of a row, are rejected as in :func:`sample_median`;
-    +inf entries (an overflowed |y|^2), and a median whose two central
-    values sum past the float range, raise ValueError(INFINITE_POWER). So
-    a median of |y|^2 is at most half the float maximum, and the noise
-    estimate median / log 2 is finite."""
+    +inf entries, and a median whose two central values sum past the float
+    range, raise ValueError(overflow), by default INFINITE_POWER: a median
+    of |y|^2 is at most half the float maximum, so the noise estimate
+    median / log 2 is finite."""
     d = sorted_x.shape[-1]
     if d == 0:
         raise ValueError("cannot take the median of an empty array")
@@ -150,9 +151,9 @@ def median_from_sorted(sorted_x: np.ndarray) -> np.ndarray:
     if not (np.isfinite(first).all() and np.isfinite(last).all()):
         if np.isnan(last).any() or np.isneginf(first).any():
             raise ValueError("input contains NaN or infinite entries")
-        raise ValueError(INFINITE_POWER)
+        raise ValueError(overflow)
     with np.errstate(over="ignore"):
         median = 0.5 * (low + high)
     if not np.isfinite(median).all():
-        raise ValueError(INFINITE_POWER)
+        raise ValueError(overflow)
     return median

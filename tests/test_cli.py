@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindsnr import RngStream, abs_squared, add, sample_bcg, sample_noise
+from blindsnr import (
+    ChannelConfig,
+    RngStream,
+    abs_squared,
+    add,
+    ber_by_variant,
+    mse_by_variant,
+    sample_bcg,
+    sample_noise,
+)
 from blindsnr import cli, core
 from blindsnr.cli import CSV_COLUMNS, ConfigError, SweepConfig, main, run_sweep
 from blindsnr.em import em_fit_rows, em_init_rows
@@ -143,6 +152,47 @@ class TestChannelCsv:
         assert rows["perfect_csi"] <= rows["ml"]
         for v in rows.values():
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("command", ["channel-mse", "channel-ber"])
+    def test_stddev_is_the_spread_of_per_trial_values(self, tmp_path, command):
+        # each trial recomputed alone, as a one-trial run on that trial's draws
+        out = tmp_path / "c.csv"
+        trials = 5
+        assert main([command, "--trials", str(trials), "--dim", "16", "--users", "3",
+                     "--paths", "2", "--snr-db=0,10", "--seed", "13",
+                     "--out", str(out)]) == 0
+        cfg = ChannelConfig(antennas=16, users=3, paths_per_user=2)
+        one, key = ((mse_by_variant, "channel_mse") if command == "channel-mse"
+                    else (ber_by_variant, "ber"))
+        rows = read_rows(out)
+        assert len(rows) == 10
+        for r in rows:
+            variant = r["family"]
+            values = [one(cfg, (variant,), float(r["snr_db"]), 1,
+                          TrialStream(RngStream(13, stream_id=0), t))[variant][key]
+                      for t in range(trials)]
+            assert float(r["mean"]) == pytest.approx(statistics.fmean(values), rel=1e-12)
+            assert float(r["stddev"]) == pytest.approx(statistics.stdev(values), rel=1e-12)
+        assert any(float(r["stddev"]) > 0.0 for r in rows)
+
+    @pytest.mark.parametrize("command", ["channel-mse", "channel-ber"])
+    def test_single_trial_flags_degenerate_stddev(self, tmp_path, command):
+        out = tmp_path / "c.csv"
+        assert main([command, "--trials", "1", "--dim", "16", "--users", "2",
+                     "--snr-db=0,10", "--out", str(out)]) == 0
+        for r in read_rows(out):
+            assert float(r["stddev"]) == 0.0
+            assert json.loads(r["extra"])["degenerate_stddev"] is True
+
+
+class TrialStream:
+    """A stream whose trial 0 draws what trial ``t`` of ``base`` draws."""
+
+    def __init__(self, base, t):
+        self.base, self.t = base, t
+
+    def substream(self, index):
+        return self.base.substream(self.t + index)
 
 
 # Inputs that exit 2 before any CSV is written: (argv, config file text).
@@ -362,8 +412,9 @@ class TestOtherSweeps:
         ("sweep-p", run_sweep, {"p_points": (0.05, 0.2)}, ["--p", "0.05,0.2"]),
         ("sweep-dim", run_sweep, {"dim_points": (8, 16)}, ["--dim", "8,16"]),
         ("bounds", cli.run_bounds_grid, {}, []),
-        ("channel-mse", cli.run_channel, {}, [])],
-        ids=["sweep-snr", "sweep-p", "sweep-dim", "bounds", "channel-mse"])
+        ("channel-mse", cli.run_channel, {}, []),
+        ("channel-ber", cli.run_channel, {}, [])],
+        ids=["sweep-snr", "sweep-p", "sweep-dim", "bounds", "channel-mse", "channel-ber"])
     def test_library_entry_point_matches_cli(self, tmp_path, command, runner, fields, argv):
         # without --dim, the library and the CLI take the same default dim
         lib, flags = tmp_path / "lib.csv", tmp_path / "cli.csv"

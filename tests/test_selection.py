@@ -1,11 +1,14 @@
 """Order-statistic selection: exactness, equivalence, and expected-linear cost."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindsnr import LOG2, OpCounter, RngStream, kth_smallest, sample_median
+from blindsnr.core import INFINITE_MEDIAN
 
 
 class TestSampleMedianValues:
@@ -31,6 +34,13 @@ class TestSampleMedianValues:
         with pytest.raises(ValueError, match="infinite"):
             sample_median(np.array([-1.7e308, -1.7e308]), method)
         assert sample_median(np.array([8e307, 8e307]), method).value == 8e307
+
+    @pytest.mark.parametrize("method", ["quickselect", "full_sort"])
+    def test_overflow_message_names_the_central_sum(self, method):
+        # a plain real array is no power, so the text does not name |y|^2
+        for x in ([1.7e308, 1.7e308], [-1.7e308, -1.7e308]):
+            with pytest.raises(ValueError, match=re.escape(INFINITE_MEDIAN)):
+                sample_median(np.array(x), method)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
