@@ -25,20 +25,26 @@ likewise draw each trial once per run and evaluate every SNR point on
 the same draws, in one call per run.
 
 Every setting is read from one table, ``_SETTINGS``, into one
-``SweepConfig`` field: a ``--config`` file holds ``key=value`` lines whose
-keys are the flag names (``snr_db`` for ``--snr-db``), flags override the
-file, and file and flag values go through the same parser. ``--dim`` and
-``--p`` hold one value or a swept axis; ``SweepConfig.dim`` (default 64,
-128 antennas for the channel) and ``activity_rate`` (default 0.1) read
-their first entry, and ``points`` lists the (snr_db, p) pairs a run
-evaluates (the first SNR only for sweep-p and sweep-dim). ``SweepConfig``
-range-checks the values, the power at each point the run evaluates, and
-the channel's shape (antennas, users, paths) through ``ChannelConfig``.
+``SweepConfig`` field, and one table, ``_SUBCOMMANDS``, gives each
+subcommand its experiment, its runner and the settings the runner reads:
+a subcommand offers only those flags (spelled in full) and config-file
+keys, and ``SweepConfig`` rejects any other field off its default. A
+``--config`` file holds ``key=value`` lines whose keys are the flag
+names (``snr_db`` for ``--snr-db``), flags override the file, and file
+and flag values go through the same parser. ``--dim`` and ``--p`` hold
+one value, or a swept axis where the table marks them as a list;
+``SweepConfig.dim`` (default 64, 128 antennas for the channel) and
+``activity_rate`` (default 0.1) read their first entry, and ``points``
+lists the (snr_db, p) pairs a run evaluates (the first SNR only for
+sweep-p and sweep-dim). ``SweepConfig`` range-checks the values, the
+power at each point the run evaluates, and the channel's shape
+(antennas, users, paths) through ``ChannelConfig``.
 
 Exit codes: 0 success, 1 I/O error writing the CSV or summary, 2 invalid
-configuration (an unreadable config file, an unknown key, a value that
-does not parse or is out of range, or an SNR point that the run evaluates
-where an estimate overflows), 3 summary assertion failure (``--summary``).
+configuration (an unreadable config file, an unknown key, a flag or key
+that the subcommand does not read, a value that does not parse or is out
+of range, or an SNR point that the run evaluates where an estimate
+overflows), 3 summary assertion failure (``--summary``).
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -82,15 +89,21 @@ class SweepConfig:
     seed: int = 0
     estimators: tuple = ESTIMATOR_FAMILIES
     output_path: str = "results.csv"
-    p_points: tuple = ()        # --p: one value, or the sweep_p and bounds_grid axis
-    dim_points: tuple = ()      # --dim: one value, or the sweep_dim axis
+    p_points: tuple = ()        # --p: one value, or a swept axis
+    dim_points: tuple = ()      # --dim: one value, or a swept axis
     users: int = 8
     paths_per_user: int = 2
     summary: bool = False
 
     def __post_init__(self):
-        if self.experiment not in dict(_SUBCOMMANDS.values()):
+        sub = _EXPERIMENTS.get(self.experiment)
+        if sub is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        unread = [key for key, (_, field, _) in _SETTINGS.items()
+                  if key not in sub.reads and getattr(self, field) != defaults[field]]
+        if unread:
+            raise ConfigError(f"{self.experiment} does not read {', '.join(unread)}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         for p in self.p_points:
@@ -113,15 +126,16 @@ class SweepConfig:
             raise ConfigError("sweep_p needs a comma list of p values (--p)")
         if self.experiment == "sweep_dim" and not self.dim_points:
             raise ConfigError("sweep_dim needs a comma list of dims (--dim)")
-        if self.experiment != "sweep_dim" and len(self.dim_points) > 1:
-            raise ConfigError("only sweep_dim takes a comma list of dims")
-        if self.experiment not in ("sweep_p", "bounds_grid") and len(self.p_points) > 1:
-            raise ConfigError("only sweep_p and bounds_grid take a comma list of p values")
+        for key in sub.reads:  # a setting one run reads as a list is one value elsewhere
+            listed = [other.experiment for other in _SUBCOMMANDS.values()
+                      if key in other.lists]
+            values = getattr(self, _SETTINGS[key][1])
+            if listed and key not in sub.lists and len(values) > 1:
+                raise ConfigError(f"{key} is a comma list only for {' and '.join(listed)}")
         dims = self.dim_points or (self.dim,)
         if min(dims) < 1:
             raise ConfigError(f"dim={min(dims)} must be positive")
-        if (self.experiment in ("sweep_snr", "sweep_p", "sweep_dim")
-                and "em" in self.estimators and min(dims) < 2):
+        if "estimators" in sub.reads and "em" in self.estimators and min(dims) < 2:
             raise ConfigError("the em family needs dim >= 2; at dim 1 use "
                               "--estimators blind,genie")
         if self.experiment.startswith("channel") and self.dim < 2:
@@ -336,14 +350,23 @@ def run_channel(cfg: SweepConfig) -> list:
     return rows
 
 
+# Each subcommand: its experiment, its runner, the settings the runner
+# reads (no other setting is accepted), and those it reads as a whole
+# comma list (a setting that one subcommand lists is one value elsewhere).
+_Subcommand = collections.namedtuple("_Subcommand", "experiment run reads lists")
+_ESTIMATOR_SETTINGS = ("trials", "dim", "p", "n0", "snr_db", "seed", "out", "estimators",
+                       "summary")
+_BOUNDS_SETTINGS = ("trials", "dim", "p", "n0", "snr_db", "seed", "out", "summary")
+_CHANNEL_SETTINGS = ("trials", "dim", "snr_db", "seed", "out", "users", "paths", "summary")
 _SUBCOMMANDS = {
-    "sweep-snr": ("sweep_snr", run_sweep),
-    "sweep-p": ("sweep_p", run_sweep),
-    "sweep-dim": ("sweep_dim", run_sweep),
-    "bounds": ("bounds_grid", run_bounds_grid),
-    "channel-mse": ("channel_mse", run_channel),
-    "channel-ber": ("channel_ber", run_channel),
+    "sweep-snr": _Subcommand("sweep_snr", run_sweep, _ESTIMATOR_SETTINGS, ()),
+    "sweep-p": _Subcommand("sweep_p", run_sweep, _ESTIMATOR_SETTINGS, ("p",)),
+    "sweep-dim": _Subcommand("sweep_dim", run_sweep, _ESTIMATOR_SETTINGS, ("dim",)),
+    "bounds": _Subcommand("bounds_grid", run_bounds_grid, _BOUNDS_SETTINGS, ("p",)),
+    "channel-mse": _Subcommand("channel_mse", run_channel, _CHANNEL_SETTINGS, ()),
+    "channel-ber": _Subcommand("channel_ber", run_channel, _CHANNEL_SETTINGS, ()),
 }
+_EXPERIMENTS = {sub.experiment: sub for sub in _SUBCOMMANDS.values()}
 
 
 def write_csv(rows: list, path: str) -> None:
@@ -398,8 +421,8 @@ def _bool(text: str) -> bool:
 # SweepConfig field it sets, and its help.
 _SETTINGS = {
     "trials": (int, "trials", None),
-    "dim": (_list(int), "dim_points", "dimension (comma list for sweep-dim)"),
-    "p": (_list(float), "p_points", "activity rate (comma list for sweep-p/bounds)"),
+    "dim": (_list(int), "dim_points", "dimension, or antenna count for the channel"),
+    "p": (_list(float), "p_points", "activity rate"),
     "n0": (float, "n0", None),
     "snr_db": (_list(float), "snr_points_db", "comma list of SNR points in dB"),
     "seed": (int, "seed", None),
@@ -411,7 +434,7 @@ _SETTINGS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
     settings = {}
     try:
         with open(path) as fh:
@@ -424,6 +447,8 @@ def _read_config_file(path: str) -> dict:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in _SETTINGS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in _SUBCOMMANDS[command].reads:
+                    raise ConfigError(f"{path}:{lineno}: {command} does not read {key!r}")
                 settings[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -437,9 +462,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo experiments for the blind estimators, "
                     "the adaptive denoiser, and the channel application.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        cmd = sub.add_parser(name)
-        for key, (_, _, help_text) in _SETTINGS.items():
+    for name, row in _SUBCOMMANDS.items():
+        # no abbreviations: --p must not reach --paths where p is not read
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        for key in row.reads:
+            help_text = _SETTINGS[key][2]
+            if key in row.lists:
+                help_text += " (a comma list sweeps it)"
             flag = "--" + key.replace("_", "-")
             if key == "summary":
                 cmd.add_argument(flag, action="store_const", const="true", help=help_text)
@@ -450,10 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
-    settings = _read_config_file(args.config) if args.config else {}
-    settings.update((key, getattr(args, key)) for key in _SETTINGS
+    sub = _SUBCOMMANDS[args.command]
+    settings = _read_config_file(args.config, args.command) if args.config else {}
+    settings.update((key, getattr(args, key)) for key in sub.reads
                     if getattr(args, key) is not None)
-    kwargs = {"experiment": _SUBCOMMANDS[args.command][0]}
+    kwargs = {"experiment": sub.experiment}
     for key, text in settings.items():
         parse, field, _ = _SETTINGS[key]
         try:
@@ -471,7 +501,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _build_config(args)
-        rows = dict(_SUBCOMMANDS.values())[cfg.experiment](cfg)
+        rows = _SUBCOMMANDS[args.command].run(cfg)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -63,12 +63,16 @@ def _cdf(z, p, slow):
 
 
 def power_cdf(z, params: BcgParams):
-    """CDF of one noisy sparse-model entry's power: the unit-noise CDF at z / N0."""
+    """CDF of one noisy sparse-model entry's power: the unit-noise CDF at
+    z / N0, and 0 for z < 0 (-inf included). ValueError for a NaN z."""
     z = np.asarray(z, dtype=np.float64)
+    if np.isnan(z).any():
+        raise ValueError("z contains NaN")
     n0 = params.noise_power
     # z / n0 may overflow; exp(-inf) = 0 is then the exact value
     with np.errstate(over="ignore"):
-        out = _cdf(z / n0, params.activity_rate, 1.0 + params.active_power / n0)
+        out = _cdf(np.maximum(z, 0.0) / n0, params.activity_rate,
+                   1.0 + params.active_power / n0)
     return out if out.ndim else float(out)
 
 

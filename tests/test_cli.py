@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import statistics
 import sys
 from unittest import mock
@@ -317,8 +318,9 @@ class TestConfigAndExitCodes:
 
     @pytest.mark.parametrize("key", list(cli._SETTINGS))
     def test_config_file_and_flag_give_same_config(self, tmp_path, key):
-        # the dim and p lists under the subcommands that read them
-        command = {"dim": "sweep-dim", "p": "bounds"}.get(key, "sweep-snr")
+        # the dim and p lists, users and paths under subcommands that read them
+        command = {"dim": "sweep-dim", "p": "bounds", "users": "channel-mse",
+                   "paths": "channel-mse"}.get(key, "sweep-snr")
 
         def config(*argv):
             return cli._build_config(cli._build_parser().parse_args([command, *argv]))
@@ -390,6 +392,71 @@ class TestConfigAndExitCodes:
         SweepConfig(experiment="bounds_grid", p_points=(0.1, 0.2))
 
 
+# The settings each subcommand's runner reads; every other setting exits 2.
+SWEEP_READS = ("trials", "dim", "p", "n0", "snr_db", "seed", "out", "estimators", "summary")
+READS = {
+    "sweep-snr": SWEEP_READS,
+    "sweep-p": SWEEP_READS,
+    "sweep-dim": SWEEP_READS,
+    "bounds": tuple(key for key in SWEEP_READS if key != "estimators"),
+    "channel-mse": ("trials", "dim", "snr_db", "seed", "out", "users", "paths", "summary"),
+    "channel-ber": ("trials", "dim", "snr_db", "seed", "out", "users", "paths", "summary"),
+}
+UNREAD = [(command, key) for command, reads in READS.items()
+          for key in cli._SETTINGS if key not in reads]
+# a run that writes a CSV, and a value of each unread setting that such a
+# run would take if it read it
+READ_ARGV = {"sweep-snr": [], "sweep-p": ["--p", "0.05,0.2"],
+             "sweep-dim": ["--dim", "8,16"], "bounds": [],
+             "channel-mse": ["--dim", "16", "--users", "2"],
+             "channel-ber": ["--dim", "16", "--users", "2"]}
+UNREAD_VALUES = {"n0": "2.5", "p": "0.3", "estimators": "genie", "users": "3", "paths": "4"}
+UNREAD_FIELDS = {"n0": 2.5, "p_points": (0.3,), "estimators": ("genie",), "users": 3,
+                 "paths_per_user": 4}
+
+
+class TestSettingsEachSubcommandReads:
+    @pytest.mark.parametrize("command,key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unread_setting_exits_two_without_csv(self, tmp_path, capsys, command, key,
+                                                  source):
+        out, value = tmp_path / "x.csv", UNREAD_VALUES[key]
+        argv = [command, *READ_ARGV[command], "--trials", "2", "--snr-db", "0",
+                "--out", str(out)]
+        if source == "flag":
+            argv += ["--" + key, value]
+        else:
+            (tmp_path / "exp.cfg").write_text(f"seed=3\n{key}={value}\n")
+            argv += ["--config", str(tmp_path / "exp.cfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"unrecognized arguments: --{key} {value}" if source == "flag"
+                else f"exp.cfg:2: {command} does not read {key!r}") in err
+        assert not out.exists()
+        # the same run without the setting writes its CSV
+        assert main(argv[:-2]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command,key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_library_config_rejects_unread_field(self, command, key):
+        experiment = cli._SUBCOMMANDS[command][0]
+        field = cli._SETTINGS[key][1]
+        fields = {"sweep-p": {"p_points": (0.05, 0.2)},
+                  "sweep-dim": {"dim_points": (8, 16)}}.get(command, {})
+        # an unread field at its default is no setting
+        default = getattr(SweepConfig(experiment, **fields), field)
+        SweepConfig(experiment, **fields, **{field: default})
+        with pytest.raises(ConfigError, match=f"does not read {key}"):
+            SweepConfig(experiment, **fields, **{field: UNREAD_FIELDS[field]})
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_help_lists_exactly_the_settings_read(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        offered = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert offered == {"--help", "--config",
+                           *("--" + key.replace("_", "-") for key in READS[command])}
+
+
 class TestOtherSweeps:
     def test_sweep_p(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -408,9 +475,11 @@ class TestOtherSweeps:
         assert {r["dim"] for r in read_rows(out)} == {"32", "128"}
 
     @pytest.mark.parametrize("command,runner,fields,argv", [
-        ("sweep-snr", run_sweep, {}, []),
-        ("sweep-p", run_sweep, {"p_points": (0.05, 0.2)}, ["--p", "0.05,0.2"]),
-        ("sweep-dim", run_sweep, {"dim_points": (8, 16)}, ["--dim", "8,16"]),
+        ("sweep-snr", run_sweep, {"estimators": ("blind",)}, ["--estimators", "blind"]),
+        ("sweep-p", run_sweep, {"p_points": (0.05, 0.2), "estimators": ("blind",)},
+         ["--p", "0.05,0.2", "--estimators", "blind"]),
+        ("sweep-dim", run_sweep, {"dim_points": (8, 16), "estimators": ("blind",)},
+         ["--dim", "8,16", "--estimators", "blind"]),
         ("bounds", cli.run_bounds_grid, {}, []),
         ("channel-mse", cli.run_channel, {}, []),
         ("channel-ber", cli.run_channel, {}, [])],
@@ -419,10 +488,10 @@ class TestOtherSweeps:
         # without --dim, the library and the CLI take the same default dim
         lib, flags = tmp_path / "lib.csv", tmp_path / "cli.csv"
         cfg = SweepConfig(experiment=cli._SUBCOMMANDS[command][0], trials=3,
-                          snr_points_db=(0.0,), estimators=("blind",), seed=11, **fields)
+                          snr_points_db=(0.0,), seed=11, **fields)
         cli.write_csv(runner(cfg), str(lib))
         assert main([command, *argv, "--trials", "3", "--snr-db", "0",
-                     "--estimators", "blind", "--seed", "11", "--out", str(flags)]) == 0
+                     "--seed", "11", "--out", str(flags)]) == 0
         assert lib.read_bytes() == flags.read_bytes()
 
     @pytest.mark.parametrize("argv", [["sweep-p", "--p", "0.1,0.2"],

@@ -91,6 +91,31 @@ class TestNoisePowerScaling:
         closed = 0.99 * (1.0 - math.exp(-1.0)) + 0.01 * (1.0 - math.exp(-0.5))
         assert abs(power_cdf(1e308, params) - closed) <= 1e-12
 
+    @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+    def test_cdf_of_negative_zero_nan_and_infinite_z(self, array):
+        # a power is never negative: F is 0 below 0, 1 at +inf, and NaN is an error
+        params = BcgParams(64, 0.1, 10.0, 1.0)
+
+        def cdf(z):
+            out = power_cdf(np.array([z]) if array else z, params)
+            assert isinstance(out, np.ndarray) == array
+            return out[0] if array else out
+
+        for z in (-1.0, -1e-300, -sys.float_info.max, -math.inf, -0.0, 0.0):
+            assert cdf(z) == 0.0
+        assert cdf(math.inf) == 1.0
+        with pytest.raises(ValueError, match="NaN"):
+            cdf(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            power_cdf([0.5, math.nan, -1.0], params)
+
+    def test_cdf_keeps_its_bits_at_nonnegative_z(self):
+        params = BcgParams(64, 0.1, 10.0, 2.0)
+        z = np.array([0.0, 5e-324, 1e-9, 0.3, 1.0, 7.5, 40.0, 1e300, math.inf])
+        unit = (1.0 - 0.1) * (1.0 - np.exp(-z / 2.0)) \
+            + 0.1 * (1.0 - np.exp(-(z / 2.0) / (1.0 + 10.0 / 2.0)))
+        assert power_cdf(z, params).tolist() == unit.tolist()
+
     def test_cli_bounds_bracket_a_tiny_n0(self, tmp_path):
         out = tmp_path / "b.csv"
         assert cli_main(["bounds", "--n0", "1e-20", "--p", "0.1", "--snr-db", "0",
