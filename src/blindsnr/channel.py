@@ -59,7 +59,7 @@ _AXIS_THRESHOLDS = np.array([-2.0, 0.0, 2.0]) * _QAM_SCALE
 class ChannelConfig:
     antennas: int = 128
     users: int = 8
-    paths_per_user: int = 1
+    paths_per_user: int = 2
 
     def __post_init__(self):
         d = self.antennas

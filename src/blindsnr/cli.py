@@ -31,20 +31,22 @@ a subcommand offers only those flags (spelled in full) and config-file
 keys, and ``SweepConfig`` rejects any other field off its default. A
 ``--config`` file holds ``key=value`` lines whose keys are the flag
 names (``snr_db`` for ``--snr-db``), flags override the file, and file
-and flag values go through the same parser. ``--dim`` and ``--p`` hold
-one value, or a swept axis where the table marks them as a list;
-``SweepConfig.dim`` (default 64, 128 antennas for the channel) and
-``activity_rate`` (default 0.1) read their first entry, and ``points``
-lists the (snr_db, p) pairs a run evaluates (the first SNR only for
-sweep-p and sweep-dim). ``SweepConfig`` range-checks the values, the
-power at each point the run evaluates, and the channel's shape
-(antennas, users, paths) through ``ChannelConfig``.
+and flag values go through the same parser. ``--dim``, ``--p`` and
+``--snr-db`` hold one value, or a swept axis where the table marks them
+as a list; ``SweepConfig.dim`` (default 64, or ``ChannelConfig``'s
+antennas) and ``activity_rate`` (default 0.1) read their first entry,
+and ``points`` lists the (snr_db, p) pairs a run evaluates: every SNR
+where ``--snr-db`` is a list, else the first, so sweep-p and sweep-dim
+run -10 dB, the first of the default list. ``SweepConfig`` range-checks
+the values, the power at each point the run evaluates, and the
+channel's shape (antennas, users, paths) through ``ChannelConfig``.
 
 Exit codes: 0 success, 1 I/O error writing the CSV or summary, 2 invalid
 configuration (an unreadable config file, an unknown key, a flag or key
-that the subcommand does not read, a value that does not parse or is out
-of range, or an SNR point that the run evaluates where an estimate
-overflows), 3 summary assertion failure (``--summary``).
+that the subcommand does not read, a comma list for a setting it reads
+as one value, a value that does not parse or is out of range, or an SNR
+point that the run evaluates where an estimate overflows), 3 summary
+assertion failure (``--summary``).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .core import BcgParams, RngStream, bcg_rows, draw_trials, trial_blocks
 from .em import _fit_rows, _init_rows
 from .estimators import genie_rows
 from .sure import BlindRows, _search_sorted, blind_rows
-from .theory import theorem1_bounds
+from .theory import SANDWICH_TOL, theorem1_bounds
 
 ESTIMATOR_FAMILIES = ("blind", "em", "genie")
 SCHEMA_VERSION = "3"
@@ -91,8 +93,8 @@ class SweepConfig:
     output_path: str = "results.csv"
     p_points: tuple = ()        # --p: one value, or a swept axis
     dim_points: tuple = ()      # --dim: one value, or a swept axis
-    users: int = 8
-    paths_per_user: int = 2
+    users: int = ChannelConfig.users
+    paths_per_user: int = ChannelConfig.paths_per_user
     summary: bool = False
 
     def __post_init__(self):
@@ -129,8 +131,10 @@ class SweepConfig:
         for key in sub.reads:  # a setting one run reads as a list is one value elsewhere
             listed = [other.experiment for other in _SUBCOMMANDS.values()
                       if key in other.lists]
-            values = getattr(self, _SETTINGS[key][1])
-            if listed and key not in sub.lists and len(values) > 1:
+            field = _SETTINGS[key][1]
+            values = getattr(self, field)
+            if listed and key not in sub.lists and values != defaults[field] \
+                    and len(values) > 1:
                 raise ConfigError(f"{key} is a comma list only for {' and '.join(listed)}")
         dims = self.dim_points or (self.dim,)
         if min(dims) < 1:
@@ -159,10 +163,10 @@ class SweepConfig:
 
     @property
     def dim(self) -> int:
-        """The first --dim entry, else 64 (128 antennas for the channel)."""
+        """The first --dim entry, else 64 (the channel's antennas for it)."""
         if self.dim_points:
             return self.dim_points[0]
-        return 128 if self.experiment.startswith("channel") else 64
+        return ChannelConfig.antennas if self.experiment.startswith("channel") else 64
 
     @property
     def activity_rate(self) -> float:
@@ -172,8 +176,8 @@ class SweepConfig:
     @property
     def points(self) -> list:
         """The (snr_db, p) pairs a run evaluates at each dim, in row order:
-        p outer, SNR inner. sweep_p and sweep_dim read the first SNR only."""
-        one_snr = self.experiment in ("sweep_p", "sweep_dim")
+        p outer, SNR inner; the first SNR only where --snr-db is one value."""
+        one_snr = "snr_db" not in _EXPERIMENTS[self.experiment].lists
         return [(float(snr_db), float(p)) for p in self.p_points or (self.activity_rate,)
                 for snr_db in (self.snr_points_db[:1] if one_snr else self.snr_points_db)]
 
@@ -310,10 +314,7 @@ def run_bounds_grid(cfg: SweepConfig) -> list:
                                                     std.tolist()):
         chk = theorem1_bounds(prm)
         ok = chk.condition_p_ok
-        violation = bool(ok and not
-                         (chk.lower_bound_n0 - 1e-10 * cfg.n0 <= cfg.n0
-                          <= chk.upper_bound_n0 + 1e-10 * cfg.n0))
-        extra = _extra({"condition_p_ok": ok, "violation": violation})
+        extra = _extra({"condition_p_ok": ok, "violation": ok and chk.violation > SANDWICH_TOL})
         for quantity, mean, stddev, truth in (
                 ("median_exact", chk.median_exact, 0.0, None),
                 ("lower_bound_n0", chk.lower_bound_n0 if ok else None, 0.0, cfg.n0),
@@ -359,12 +360,12 @@ _ESTIMATOR_SETTINGS = ("trials", "dim", "p", "n0", "snr_db", "seed", "out", "est
 _BOUNDS_SETTINGS = ("trials", "dim", "p", "n0", "snr_db", "seed", "out", "summary")
 _CHANNEL_SETTINGS = ("trials", "dim", "snr_db", "seed", "out", "users", "paths", "summary")
 _SUBCOMMANDS = {
-    "sweep-snr": _Subcommand("sweep_snr", run_sweep, _ESTIMATOR_SETTINGS, ()),
+    "sweep-snr": _Subcommand("sweep_snr", run_sweep, _ESTIMATOR_SETTINGS, ("snr_db",)),
     "sweep-p": _Subcommand("sweep_p", run_sweep, _ESTIMATOR_SETTINGS, ("p",)),
     "sweep-dim": _Subcommand("sweep_dim", run_sweep, _ESTIMATOR_SETTINGS, ("dim",)),
-    "bounds": _Subcommand("bounds_grid", run_bounds_grid, _BOUNDS_SETTINGS, ("p",)),
-    "channel-mse": _Subcommand("channel_mse", run_channel, _CHANNEL_SETTINGS, ()),
-    "channel-ber": _Subcommand("channel_ber", run_channel, _CHANNEL_SETTINGS, ()),
+    "bounds": _Subcommand("bounds_grid", run_bounds_grid, _BOUNDS_SETTINGS, ("p", "snr_db")),
+    "channel-mse": _Subcommand("channel_mse", run_channel, _CHANNEL_SETTINGS, ("snr_db",)),
+    "channel-ber": _Subcommand("channel_ber", run_channel, _CHANNEL_SETTINGS, ("snr_db",)),
 }
 _EXPERIMENTS = {sub.experiment: sub for sub in _SUBCOMMANDS.values()}
 
@@ -424,7 +425,7 @@ _SETTINGS = {
     "dim": (_list(int), "dim_points", "dimension, or antenna count for the channel"),
     "p": (_list(float), "p_points", "activity rate"),
     "n0": (float, "n0", None),
-    "snr_db": (_list(float), "snr_points_db", "comma list of SNR points in dB"),
+    "snr_db": (_list(float), "snr_points_db", "SNR point in dB"),
     "seed": (int, "seed", None),
     "out": (str, "output_path", None),
     "estimators": (_list(str), "estimators", "comma subset of blind,em,genie"),

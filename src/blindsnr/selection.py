@@ -87,8 +87,8 @@ def kth_smallest(x, k: int, rng: RngStream | None = None,
     The input is not modified: each pass selects into a new array.
     """
     x = _validated(x)
-    if not 1 <= k <= x.size:
-        raise ValueError(f"k={k} out of range for length {x.size}")
+    if not 1 <= k <= x.size or k != int(k):
+        raise ValueError(f"k={k} is not an integer in [1, {x.size}]")
     rng = RngStream(_DEFAULT_PIVOT_SEED) if rng is None else rng
     counter = OpCounter() if counter is None else counter
     counter.reset()

@@ -48,12 +48,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import INFINITE_POWER, INFINITE_RISK, INFINITE_SNR, LOG2, ComplexVector, abs_squared
+from .core import INFINITE_POWER, INFINITE_SNR, LOG2, ComplexVector, abs_squared
 from .estimators import (
     MseEstimate,
     NoisePowerEstimate,
     SignalPowerEstimate,
     SnrEstimate,
+    estimate_mse,
 )
 from .selection import median_from_sorted
 
@@ -196,31 +197,12 @@ class DenoiserFunction:
 
 
 def sure_of_threshold(y: ComplexVector, tau: float, n0: float) -> float:
-    """Risk estimate of the soft threshold at tau, in closed form.
-
-    Agrees with :func:`blindsnr.estimators.estimate_mse` applied to the
-    corresponding soft-threshold denoiser up to rounding, and like it
-    raises ValueError(INFINITE_RISK) when the estimate overflows.
-    """
-    if not 0.0 <= tau < math.inf:
-        raise ValueError("tau must be non-negative and finite")
+    """Risk estimate of the soft threshold at tau for a positive n0: the
+    ``raw_sure`` of :func:`blindsnr.estimators.estimate_mse` for that
+    denoiser, which raises its ValueErrors."""
     if not 0.0 < n0 < math.inf:
         raise ValueError("n0 must be positive and finite")
-    z = abs_squared(y)
-    with np.errstate(over="ignore"):
-        if not z.sum() < math.inf:
-            raise ValueError(INFINITE_POWER)
-    r = np.sqrt(z)
-    d = y.dim
-    # classify in magnitude space (r > tau), exactly as the threshold and
-    # the search do, so a tau sitting on a magnitude is "below" everywhere
-    above = r > tau
-    term1 = float(np.minimum(z, tau * tau).sum()) / d
-    div = float((2.0 - tau / r[above]).sum())
-    risk = term1 - n0 + n0 * div / d
-    if not math.isfinite(risk):
-        raise ValueError(INFINITE_RISK)
-    return risk
+    return estimate_mse(y, DenoiserFunction.soft(tau), n0).raw_sure
 
 
 def _ranks(rs: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -38,6 +38,9 @@ ACTIVITY_RATE_LIMIT = (0.5 - math.exp(-2.0)) / (1.0 - math.exp(-2.0))
 
 _BISECTION_TOL = 1e-12
 
+# Largest certificate violation, relative to N0, that rounding explains.
+SANDWICH_TOL = 1e-10
+
 
 class BoundViolationError(RuntimeError):
     """The certificate failed to bracket the true noise power (a code bug)."""
@@ -55,6 +58,7 @@ class BoundCheck:
     lemma2_ub: float  # NaN when p >= 1/2 (bound undefined)
     lemma3_ub: float
     lemma4_lb: float
+    violation: float  # how far N0 lies outside [lower, upper], over N0
 
 
 def _cdf(z, p, slow):
@@ -104,13 +108,15 @@ def exact_power_median(params: BcgParams) -> float:
     return median
 
 
+def _lemma2(p: float) -> float:
+    """Lemma 2's median bound over N0, log((2-2p)/(1-2p)); inf, as
+    undefined, for p >= 1/2."""
+    return math.log((2.0 - 2.0 * p) / (1.0 - 2.0 * p)) if p < 0.5 else math.inf
+
+
 def n0_bounds_from_median(median: float, p: float, snr: float):
     """Noise-power bracket implied by a (sample or exact) power median."""
-    if p < 0.5:
-        lemma2 = math.log((2.0 - 2.0 * p) / (1.0 - 2.0 * p))
-    else:
-        lemma2 = math.inf  # undefined; excluded from the min
-    denom = min(lemma2, LOG2 * (1.0 + snr))
+    denom = min(_lemma2(p), LOG2 * (1.0 + snr))  # an undefined lemma 2 drops out
     lower = median / denom
     upper = (median / LOG2) * ((1.0 - p) + p * p / (p + snr))
     return lower, upper
@@ -127,10 +133,7 @@ def theorem1_bounds(params: BcgParams) -> BoundCheck:
     n0 = params.noise_power
     median = exact_power_median(params)
     lower, upper = n0_bounds_from_median(median, p, snr)
-    if p < 0.5:
-        lemma2_ub = n0 * math.log((2.0 - 2.0 * p) / (1.0 - 2.0 * p))
-    else:
-        lemma2_ub = math.nan
+    lemma2_ub = n0 * _lemma2(p) if p < 0.5 else math.nan
     lemma3_ub = LOG2 * (n0 + params.signal_power)
     lemma4_lb = LOG2 * n0 / ((1.0 - p) + p * p / (p + snr))
     # lemma2_ub is NaN, not a failure, for p >= 1/2
@@ -141,7 +144,8 @@ def theorem1_bounds(params: BcgParams) -> BoundCheck:
                       lower_bound_n0=lower, upper_bound_n0=upper,
                       condition_p_ok=p <= ACTIVITY_RATE_LIMIT,
                       lemma2_ub=lemma2_ub, lemma3_ub=lemma3_ub,
-                      lemma4_lb=lemma4_lb)
+                      lemma4_lb=lemma4_lb,
+                      violation=max(lower - n0, n0 - upper, 0.0) / n0)
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,13 @@ class SandwichReport:
     max_violation: float
 
 
-def verify_sandwich(grid, tol: float = 1e-10) -> SandwichReport:
+def verify_sandwich(grid, tol: float = SANDWICH_TOL) -> SandwichReport:
     """Check lower <= N0 <= upper at every grid point using the exact median.
 
     Every supplied model must satisfy the activity-rate condition; a
     violation beyond ``tol`` times N0 signals an implementation bug and
     raises :class:`BoundViolationError`. ``max_violation`` is the largest
-    violation relative to N0.
+    :attr:`BoundCheck.violation`.
     """
     checks = []
     worst = 0.0
@@ -166,9 +170,7 @@ def verify_sandwich(grid, tol: float = 1e-10) -> SandwichReport:
             raise ValueError(
                 f"activity rate {params.activity_rate} exceeds the "
                 f"certificate's validity limit {ACTIVITY_RATE_LIMIT:.4f}")
-        n0 = params.noise_power
-        violation = max(chk.lower_bound_n0 - n0, n0 - chk.upper_bound_n0, 0.0) / n0
-        worst = max(worst, violation)
+        worst = max(worst, chk.violation)
         checks.append(chk)
     if worst > tol:
         raise BoundViolationError(

@@ -22,6 +22,7 @@ from blindsnr import (
 )
 from blindsnr import core
 from blindsnr.channel import VARIANTS, qam16_demodulate, qam16_modulate
+from blindsnr.cli import SweepConfig
 
 
 def power(a):
@@ -32,6 +33,11 @@ class TestConfigValidation:
     def test_defaults(self):
         cfg = ChannelConfig()
         assert cfg.antennas == 128 and cfg.users == 8
+        assert cfg.paths_per_user == 2
+        # the CLI's channel runs take their shape from the same defaults
+        sweep = SweepConfig("channel_mse")
+        assert (sweep.dim, sweep.users, sweep.paths_per_user) \
+            == (cfg.antennas, cfg.users, cfg.paths_per_user)
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):

@@ -497,16 +497,14 @@ class TestOtherSweeps:
     @pytest.mark.parametrize("argv", [["sweep-p", "--p", "0.1,0.2"],
                                       ["sweep-dim", "--dim", "8,16"]],
                              ids=["sweep-p", "sweep-dim"])
-    def test_snr_points_the_run_ignores_are_not_checked(self, tmp_path, argv):
-        # sweep-p and sweep-dim run only the first SNR point, so a second
-        # one whose linear SNR overflows neither fails nor changes the rows
-        first, both = tmp_path / "first.csv", tmp_path / "both.csv"
-        argv = argv + ["--trials", "2", "--seed", "3"]
-        assert main(argv + ["--snr-db", "0", "--out", str(first)]) == 0
-        assert main(argv + ["--snr-db=0,4000", "--out", str(both)]) == 0
-        assert len(read_rows(both)) == 24
-        assert both.read_bytes() == first.read_bytes()
-        # sweep-snr runs every point, so it still rejects the list
+    def test_snr_db_is_one_value_where_the_run_reads_one(self, tmp_path, capsys, argv):
+        # sweep-p and sweep-dim run one SNR point, so a list of them is
+        # rejected rather than cut to its first point
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--trials", "2", "--snr-db=0,10", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "snr_db" in capsys.readouterr().err
+        # sweep-snr runs every point, so it rejects a list with an overflowing one
         assert main(["sweep-snr", "--trials", "2", "--snr-db=0,4000",
                      "--out", str(tmp_path / "x.csv")]) == 2
 

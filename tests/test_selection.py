@@ -75,6 +75,8 @@ class TestKthSmallest:
             kth_smallest([1.0, 2.0], 0)
         with pytest.raises(ValueError):
             kth_smallest([1.0, 2.0], 3)
+        with pytest.raises(ValueError):
+            kth_smallest([3.0, 1.0, 2.0], 1.5)
 
 
 class TestEquivalence:

@@ -148,15 +148,18 @@ class TestSureOfThreshold:
         tau = float(np.abs(y.values).max()) + 1.0
         assert sure_of_threshold(y, tau, 0.8) == pytest.approx(expected, rel=1e-14)
 
-    def test_agrees_with_generic_risk_estimator(self):
+    def test_is_the_generic_risk_estimate_of_the_soft_threshold(self):
         rng = np.random.default_rng(54)
         for t in range(50):
             _, _, y = draw_observation(bcg_params(128, 0.1, 10.0), seed=55, trial=t)
             tau = float(rng.uniform(0, 4))
             n0 = float(rng.uniform(0.1, 3))
-            closed = sure_of_threshold(y, tau, n0)
             generic = estimate_mse(y, DenoiserFunction.soft(tau), n0).raw_sure
-            assert closed == pytest.approx(generic, rel=1e-12, abs=1e-12)
+            assert sure_of_threshold(y, tau, n0) == generic
+            # and the blind pipeline's risk at its own threshold and noise
+            rep = blind_report(y)
+            assert sure_of_threshold(y, rep.search.tau_star, rep.noise.value) \
+                == rep.mse.raw_sure
 
     def test_jump_at_breakpoints_is_one_divergence_quantum(self):
         # Crossing a sorted magnitude from below drops the risk estimate by

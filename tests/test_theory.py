@@ -1,6 +1,7 @@
 """Exact power median, the noise-power certificate, and its edge behavior."""
 
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from blindsnr import (
     theorem1_bounds,
     verify_sandwich,
 )
+from blindsnr import cli, theory
 from blindsnr.cli import main as cli_main
 
 from conftest import bcg_params
@@ -225,3 +227,24 @@ class TestVerifySandwich:
 
     def test_violation_error_type_exists(self):
         assert issubclass(BoundViolationError, RuntimeError)
+
+    def test_a_bracket_that_misses_n0_raises(self, monkeypatch):
+        monkeypatch.setattr(theory, "theorem1_bounds", _missing_n0)
+        with pytest.raises(BoundViolationError):
+            verify_sandwich([bcg_params(64, 0.1, 1.0)])
+
+    def test_cli_flags_a_bracket_that_misses_n0(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "theorem1_bounds", _missing_n0)
+        out = tmp_path / "b.csv"
+        assert cli_main(["bounds", "--p", "0.1", "--snr-db", "0", "--trials", "2",
+                         "--summary", "--out", str(out)]) == 3
+        with open(out) as fh:
+            extras = {r["extra"] for r in csv.DictReader(fh)}
+        assert extras == {'{"condition_p_ok":true,"violation":true}'}
+
+
+def _missing_n0(params):
+    """The certificate with its bracket moved to [2 N0, 3 N0]."""
+    n0 = params.noise_power
+    return dataclasses.replace(theorem1_bounds(params), lower_bound_n0=2.0 * n0,
+                               upper_bound_n0=3.0 * n0, violation=1.0)
