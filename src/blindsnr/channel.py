@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, abs_squared, trial_blocks
+from .core import INFINITE_POWER, RngStream, abs_squared, trial_blocks
 from .em import _fit_rows, _init_rows
 from .sure import _search_sorted, _shrink, blind_rows
 
@@ -102,16 +102,25 @@ def _transform_input(a) -> np.ndarray:
     return a
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, formed under ``np.errstate``; ValueError if an entry overflowed."""
+    if not np.isfinite(a).all():
+        raise ValueError(INFINITE_POWER)
+    return a
+
+
 def beamspace(h) -> np.ndarray:
-    """Unitary DFT across antennas (the last axis)."""
+    """Unitary DFT across antennas (the last axis); ValueError when it overflows."""
     h = _transform_input(h)
-    return np.fft.fft(h, axis=-1) / math.sqrt(h.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.fft.fft(h, axis=-1) / math.sqrt(h.shape[-1]))
 
 
 def inverse_beamspace(x) -> np.ndarray:
     """Inverse of :func:`beamspace`; round-trips to within 1e-12."""
     x = _transform_input(x)
-    return np.fft.ifft(x, axis=-1) * math.sqrt(x.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.fft.ifft(x, axis=-1) * math.sqrt(x.shape[-1]))
 
 
 def _estimates(variants: tuple, x: np.ndarray, y: np.ndarray, n0: np.ndarray):
@@ -242,19 +251,23 @@ def trial_table(cfg: ChannelConfig, variants: tuple, snr_points_db, trials: int,
             # BLAS rounds transposed views differently, so multiply C-contiguous copies
             hs = (np.ascontiguousarray(h.swapaxes(1, 2)) @ sym[..., None])[..., 0]
             r = np.stack([hs + math.sqrt(n0 / 2.0) * noise for n0 in n0s])
-            ridge = np.stack([(cfg.users * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR)
-                              * np.eye(cfg.users) for n0 in n0s])[:, None]
+            with np.errstate(invalid="ignore"):  # an infinite users * n0: a NaN Gram
+                ridge = np.stack([(cfg.users * n0 / _SYMBOL_ENERGY + _SOLVE_FLOOR)
+                                  * np.eye(cfg.users) for n0 in n0s])[:, None]
         for k, (_, x_hat, n0_var) in enumerate(_estimates(variants, x, y, known)):
-            if link:
-                h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).swapaxes(-1, -2))
-                h_adj = h_hat.conj().swapaxes(-1, -2)
-                sym_hat = np.linalg.solve(h_adj @ h_hat + ridge, h_adj @ r[..., None])
-                bits_hat = qam16_demodulate(sym_hat.reshape(-1)).reshape(-1, *bits.shape)
-                table[:, k, 0, block] = (bits_hat != bits).sum(axis=(2, 3))
-            else:
-                table[:, k, 0, block] = abs_squared(x_hat - x).mean(axis=(-2, -1))
-                table[:, k, 1, block] = np.reshape(n0_var, y.shape[:-1]).mean(axis=-1)
-    return table
+            # what overflows here is inf or NaN, and raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                if link:
+                    h_hat = np.ascontiguousarray(inverse_beamspace(x_hat).swapaxes(-1, -2))
+                    h_adj = h_hat.conj().swapaxes(-1, -2)
+                    gram = _finite(h_adj @ h_hat + ridge)
+                    sym_hat = _finite(np.linalg.solve(gram, h_adj @ r[..., None]))
+                    bits_hat = qam16_demodulate(sym_hat.reshape(-1)).reshape(-1, *bits.shape)
+                    table[:, k, 0, block] = (bits_hat != bits).sum(axis=(2, 3))
+                else:
+                    table[:, k, 0, block] = abs_squared(x_hat - x).mean(axis=(-2, -1))
+                    table[:, k, 1, block] = np.reshape(n0_var, y.shape[:-1]).mean(axis=-1)
+    return _finite(table)
 
 
 def mse_by_points(cfg: ChannelConfig, variants: tuple, snr_points_db,

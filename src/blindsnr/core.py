@@ -199,8 +199,8 @@ def sample_bcg(params: BcgParams, rng: RngStream) -> ComplexVector:
 
 def sample_noise(n0: float, dim: int, rng: RngStream) -> ComplexVector:
     """Draw i.i.d. circularly-symmetric complex Gaussian noise of variance n0."""
-    if not n0 > 0.0:
-        raise ValueError("n0 must be positive")
+    if not 0.0 < n0 < math.inf:
+        raise ValueError("n0 must be positive and finite")
     if dim < 1:
         raise ValueError("dim must be at least 1")
     g = rng.gen

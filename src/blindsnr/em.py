@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LOG2
+from .core import INFINITE_POWER, LOG2
 from .selection import median_from_sorted
 
 MAX_ITERATIONS = 30
@@ -292,11 +292,15 @@ def em_init_rows(z) -> np.ndarray:
 
 def _init_rows(z: np.ndarray, seed: np.ndarray) -> np.ndarray:
     """:func:`em_init_rows` given each row's median seed median(z) / log 2,
-    the blind noise estimate of the same row (``blind_rows(y).n0``)."""
-    mean = z.mean(axis=-1)
-    # degenerate all-zero bulk
-    s1 = np.where(seed <= 0.0, np.maximum(mean, 5e-324), seed)
-    s2 = np.maximum(2.0 * mean, 2.0 * s1)
+    the blind noise estimate of the same row (``blind_rows(y).n0``).
+    ValueError when a row's mean |y|^2 or its starting var_large overflows."""
+    with np.errstate(over="ignore"):
+        mean = z.mean(axis=-1)
+        # degenerate all-zero bulk
+        s1 = np.where(seed <= 0.0, np.maximum(mean, 5e-324), seed)
+        s2 = np.maximum(2.0 * mean, 2.0 * s1)
+    if not s2.max() < math.inf:
+        raise ValueError(INFINITE_POWER)
     return np.stack((np.full(z.shape[0], 0.5), s1, np.maximum(s2, s1)), axis=-1)
 
 

@@ -305,7 +305,8 @@ def search_rows(values, n0):
     if not ((n0 > 0.0) & (n0 < math.inf)).all():
         raise ValueError("n0 must be positive and finite")
     # not _magnitudes: the search checks each row's sum of |y|^2 itself
-    return _search_sorted(np.sort(np.sqrt(abs_squared(values)), axis=1), n0[..., None])
+    rs = np.sort(np.sqrt(abs_squared(values)), axis=1)
+    return _search_sorted(rs, float(n0) if n0.ndim == 0 else n0[:, None])
 
 
 def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
@@ -314,19 +315,9 @@ def search_threshold(y: ComplexVector, n0: float) -> ThresholdSearchResult:
     Sorts the magnitudes once, O(D log D), then evaluates in O(D), in
     closed form, the clamped stationary point of every inter-order-statistic
     interval plus tau = 0 and the zero-map candidate. A one-row call into
-    the kernel of :func:`search_rows`.
+    :func:`search_rows`.
     """
-    n0 = float(n0)
-    if not 0.0 < n0 < math.inf:
-        raise ValueError("n0 must be positive and finite")
-    # not _magnitudes: the search checks the sum of |y|^2 itself
-    values = y.values
-    with np.errstate(over="ignore"):
-        rs = values.real * values.real
-        rs += values.imag * values.imag
-    np.sqrt(rs, out=rs)
-    rs.sort()
-    (tau,), (sure,) = _search_sorted(rs[None], n0)
+    (tau,), (sure,) = search_rows(y.values[None], n0)
     return ThresholdSearchResult(tau_star=float(tau), sure_at_tau=float(sure),
                                  n0_used=float(n0), candidates_evaluated=y.dim + 2)
 

@@ -212,9 +212,6 @@ BAD_INPUTS = {
     "observation-power-overflow": (["sweep-snr", "--n0", "1e300", "--snr-db", "70"], None),
     "channel-n0-overflow": (["channel-mse", "--snr-db=-4000"], None),
     "active-power-overflow": (["sweep-snr", "--p", "1e-320", "--snr-db", "0"], None),
-    # ran with finite rows before the headroom rule; 2^10 x dim 64 x the
-    # entry power 1e306 exceeds DBL_MAX
-    "entry-power-headroom": (["sweep-snr", "--n0", "1e300", "--snr-db", "50"], None),
     # wrote snr,inf,nan: a draw's receive power over its blind noise
     # estimate overflows
     "blind-snr-overflow": (["sweep-snr", "--n0", "1e-300", "--snr-db", "3080", "--dim", "8",
@@ -339,16 +336,35 @@ class TestConfigAndExitCodes:
         fields = sorted(f.name for f in dataclasses.fields(SweepConfig))
         assert fields == sorted(["experiment", *(f for _, f, _ in cli._SETTINGS.values())])
 
-    def test_entry_power_headroom_boundary(self, tmp_path):
-        # at p = 1 and 0 dB the entry power is 2 n0, so dim 64 admits
-        # n0 below DBL_MAX / (2^10 * 64 * 2), about 1.37e303
-        limit = sys.float_info.max / (cli._HEADROOM * 64 * 2)
-        argv = ["sweep-snr", "--trials", "3", "--dim", "64", "--p", "1", "--snr-db", "0",
-                "--summary", "--out", str(tmp_path / "s.csv")]
-        assert main(argv + ["--n0", repr(limit * 0.99)]) == 0
-        assert all(math.isfinite(float(r[k])) for r in read_rows(tmp_path / "s.csv")
+    def test_entry_power_headroom_boundary(self, tmp_path, capsys):
+        # 2^10 x dim 64 x the entry power (2 n0 at p = 1 and 0 dB, 1e306 at
+        # n0 1e300 and 50 dB) passes DBL_MAX in both, but no estimate
+        # overflows: no rule guesses overflow up front, so they run
+        limit = sys.float_info.max / (2.0 ** 10 * 64 * 2)
+        out = tmp_path / "s.csv"
+        for argv in (["--dim", "64", "--p", "1", "--snr-db", "0", "--n0", repr(limit * 1.01)],
+                     ["--n0", "1e300", "--snr-db", "50"]):
+            assert main(["sweep-snr", "--trials", "3", *argv, "--out", str(out)]) == 0
+            assert all(math.isfinite(float(r[k])) for r in read_rows(out)
+                       for k in ("mean", "stddev"))
+        out.unlink()
+        # a config whose estimates do overflow exits 2 with no CSV
+        argv, _ = BAD_INPUTS["observation-power-overflow"]
+        assert main(argv + ["--trials", "3", "--out", str(out)]) == 2
+        assert "an estimate at these powers overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_channel_overflow_is_caught_where_it_happens(self, tmp_path, capsys):
+        # noise powers near the overflow edge run while the channel's values
+        # stay finite, and exit 2 with no CSV when one overflows
+        out = tmp_path / "c.csv"
+        assert main(["channel-ber", "--snr-db=-3050", "--trials", "3", "--out", str(out)]) == 0
+        assert all(math.isfinite(float(r[k])) for r in read_rows(out)
                    for k in ("mean", "stddev"))
-        assert main(argv + ["--n0", repr(limit * 1.01)]) == 2
+        out.unlink()
+        assert main(["channel-mse", "--snr-db=-3054", "--trials", "2", "--out", str(out)]) == 2
+        assert "an estimate at these powers overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_run_writes_flag_run_bytes(self, tmp_path):
         (tmp_path / "exp.cfg").write_text("trials=8\ndim=16\np=0.2\nn0=2\nsnr_db=-5,5\n"
@@ -370,7 +386,6 @@ class TestConfigAndExitCodes:
                     {"p_points": (0.0,)},
                     {"dim_points": (32, 64)}, {"p_points": (0.1, 0.2)},
                     {"snr_points_db": (4000.0,)}, {"snr_points_db": (-4000.0,)},
-                    {"n0": 1e300, "snr_points_db": (70.0,)},
                     {"p_points": (1e-320,), "snr_points_db": (0.0,)}):
             with pytest.raises(ConfigError):
                 SweepConfig(experiment="sweep_snr", **bad)
@@ -379,7 +394,6 @@ class TestConfigAndExitCodes:
                                 ("channel_mse", {"p_points": (0.1, 0.2)}),
                                 ("sweep_p", {"p_points": (0.1, 1e-320), "snr_points_db": (0.0,)}),
                                 ("channel_mse", {"snr_points_db": (-4000.0,)}),
-                                ("channel_mse", {"snr_points_db": (-3080.0,)}),
                                 ("channel_ber", {"snr_points_db": (4000.0,)})):
             with pytest.raises(ConfigError):
                 SweepConfig(experiment=experiment, **bad)
@@ -503,7 +517,8 @@ class TestOtherSweeps:
         out = tmp_path / "x.csv"
         assert main(argv + ["--trials", "2", "--snr-db=0,10", "--out", str(out)]) == 2
         assert not out.exists()
-        assert "snr_db" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "snr_db" in err and "sweep-snr" in err
         # sweep-snr runs every point, so it rejects a list with an overflowing one
         assert main(["sweep-snr", "--trials", "2", "--snr-db=0,4000",
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -108,6 +108,8 @@ class TestSampleNoise:
             sample_noise(0.0, 10, RngStream(0))
         with pytest.raises(ValueError):
             sample_noise(1.0, 0, RngStream(0))
+        with pytest.raises(ValueError, match="n0 must be positive and finite"):
+            sample_noise(math.inf, 4, RngStream(1))
 
 
 class TestVectorOps:

@@ -5,23 +5,33 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsnr import (
+    ChannelConfig,
     ComplexVector,
     DenoiserFunction,
     MixtureParams,
+    RngStream,
     abs_squared,
+    beamspace,
+    ber_by_variant,
     blind_report,
     denoise_blind,
     estimate_mse,
     estimate_noise_power,
     estimate_signal_power,
     estimate_snr,
+    em_default_init,
     genie_estimates,
+    inverse_beamspace,
+    mse_by_variant,
     search_threshold,
     soft_threshold,
     sure_of_threshold,
 )
+from blindsnr import channel
 from blindsnr.core import INFINITE_POWER, INFINITE_RISK
 from blindsnr.em import em_fit_rows, em_init_rows
 from blindsnr.selection import median_from_sorted
@@ -180,3 +190,44 @@ def test_overflowing_candidate_risk_is_skipped():
     assert (found.tau_star, found.sure_at_tau) == (rep.search.tau_star, rep.search.sure_at_tau)
     found = search_threshold(UNIT, 1.7e308)  # the zero map: 1 - n0
     assert (found.tau_star, found.sure_at_tau) == (1.0, -1.7e308)
+
+
+# 64 exponential |y|^2 draws of mean 5e306 sum past the float maximum
+HUGE_MEAN = np.random.default_rng(0).exponential(5e306, 64)
+
+
+@pytest.mark.parametrize("init", [lambda z: em_init_rows(z[None]), em_default_init],
+                         ids=["em_init_rows", "em_default_init"])
+def test_overflowing_em_mean_raises(init):
+    with pytest.raises(ValueError, match=re.escape(INFINITE_POWER)):
+        init(HUGE_MEAN)
+
+
+# channel values that overflow from finite inputs: the DFT of 128 entries
+# of 1e307, and at -3055 dB the ML error |y - x|^2 summed over the users'
+# antennas and the LMMSE Gram matrix of the ML estimate
+CHANNEL_CALLS = {
+    "beamspace": lambda: beamspace(np.full(128, 1e307 + 0j)),
+    "inverse_beamspace": lambda: inverse_beamspace(np.full(128, 1e307 + 0j)),
+    "mse_by_variant": lambda: mse_by_variant(ChannelConfig(), ("perfect_csi", "ml"),
+                                             -3055.0, 3, RngStream(1)),
+    "ber_by_variant": lambda: ber_by_variant(ChannelConfig(), ("perfect_csi", "ml"),
+                                             -3055.0, 3, RngStream(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_CALLS))
+def test_overflowing_channel_value_raises(name):
+    with pytest.raises(ValueError, match=re.escape(INFINITE_POWER)):
+        CHANNEL_CALLS[name]()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(snr_db=st.floats(-3080.0, 60.0), metric=st.sampled_from(["mse", "ber"]))
+def test_channel_table_is_finite_or_raises(snr_db, metric):
+    cfg = ChannelConfig(antennas=8, users=2)
+    try:
+        table = channel.trial_table(cfg, channel.VARIANTS, (snr_db,), 1, RngStream(3), metric)
+    except ValueError:
+        return
+    assert np.isfinite(table).all()
